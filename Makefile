@@ -31,25 +31,27 @@ race:
 # model, the campaign runner that fans out across labs, the parallel
 # forest trainer, the sharded collector stage, the streaming ingest
 # dispatcher with its bounded reorder window and the single-decode fold
-# pass, and the fleet runner's bounded-lead home pool folding into
-# shared-seed sketches.
+# pass, the fleet runner's bounded-lead home pool folding into
+# shared-seed sketches, and the PII scanners every shard and fold unit
+# share.
 racecore:
 	$(GO) test -race ./internal/faults/... ./internal/cloud/... ./internal/experiments/... \
 		./internal/ml/... ./internal/analysis/... ./internal/ingest/... \
 		./internal/service/... ./internal/fleet/... ./internal/sketch/... \
-		./internal/reshape/...
+		./internal/reshape/... ./internal/pii/...
 
 # Benchmark sweep (-run '^$$' skips the test suites): the root table
 # harness — which also refreshes BENCH_pipeline.json with the campaign's
 # stage wall times and throughput — plus the ingest-mode comparison
 # (buffered vs two-pass vs single-decode), the forest-training and
 # collector-stage benchmarks that record the parallel speedup, the
-# fleet synthesis throughput, the sketch merge/ingest hot paths and the
-# multi-metric entropy family.
+# fleet synthesis throughput, the sketch merge/ingest hot paths, the
+# multi-metric entropy family and the PII scan over ciphertext and
+# plaintext payloads.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/ml ./internal/analysis \
 		./internal/fleet ./internal/sketch ./internal/reshape ./internal/entropy \
-		./internal/dataset
+		./internal/dataset ./internal/pii
 
 # Perf regression gate: single-decode streaming must hold the checked-in
 # fraction of buffered throughput on the tiny export (floor in
@@ -57,12 +59,16 @@ bench:
 perfguard:
 	MONIOTR_PERFGUARD=1 $(GO) test -run TestStreamingThroughputFloor -count=1 -v .
 
-# Run every pcap-parsing fuzzer briefly; the seed corpus plus a few
-# seconds of mutation catches framing regressions without CI-scale cost.
+# Run every fuzzer briefly: the pcap parsers and the PII scanner's
+# differential check against its strings.ToLower reference. The seed
+# corpus plus a few seconds of mutation catches framing and case-folding
+# regressions without CI-scale cost.
 fuzz:
-	@for f in $$($(GO) test ./internal/pcapio -list '^Fuzz' | grep '^Fuzz'); do \
-		echo "fuzzing $$f"; \
-		$(GO) test ./internal/pcapio -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \
+	@for p in ./internal/pcapio ./internal/pii; do \
+		for f in $$($(GO) test $$p -list '^Fuzz' | grep '^Fuzz'); do \
+			echo "fuzzing $$p $$f"; \
+			$(GO) test $$p -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \
+		done; \
 	done
 
 # End-to-end capture round trip: export a tiny campaign as per-device

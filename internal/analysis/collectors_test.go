@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -172,6 +173,35 @@ func TestContentCollectorInferSkipsTinyDatasets(t *testing.T) {
 	results := c.Infer(DefaultInferConfig())
 	if len(results) != 0 {
 		t.Errorf("single-class tiny dataset should be skipped: %+v", results)
+	}
+}
+
+// TestContentShardsShareScanners visits one device from two shards at
+// once: both must use the root collector's scanner cache, which then
+// holds the device's scanner exactly once.
+func TestContentShardsShareScanners(t *testing.T) {
+	us, _, _ := labPair(t)
+	c := NewContentCollector()
+	slot, _ := us.Slot("Magichome Strip")
+	exps := []*testbed.Experiment{
+		us.RunPower(slot, false, testbed.StudyEpoch, 0),
+		us.RunPower(slot, false, testbed.StudyEpoch.Add(time.Hour), 1),
+	}
+	var wg sync.WaitGroup
+	for i, exp := range exps {
+		shard := c.newShard()
+		if shard.scanners != c.scanners {
+			t.Fatal("shard has its own scanner cache")
+		}
+		wg.Add(1)
+		go func(seq int64, exp *testbed.Experiment) {
+			defer wg.Done()
+			shard.visitAt(seq, exp)
+		}(int64(i), exp)
+	}
+	wg.Wait()
+	if n := len(c.scanners.m); n != 1 {
+		t.Fatalf("scanner cache holds %d scanners, want 1", n)
 	}
 }
 

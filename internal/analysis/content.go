@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
@@ -28,7 +29,10 @@ type ContentCollector struct {
 	// FeatureSet selects the feature family (SetPaper by default).
 	FeatureSet features.Set
 
-	scanners map[string]*pii.Scanner
+	// scanners is shared by the root collector and every shard and fold
+	// unit made from it, so each device instance's scanner is compiled
+	// once per pipeline.
+	scanners *scannerCache
 	// pending holds first-seen findings tagged with their discovery
 	// position — the experiment's delivery sequence plus the rank within
 	// that experiment. Findings() sorts by that position before the
@@ -47,6 +51,24 @@ type ContentCollector struct {
 	devName     map[instColKey]string
 }
 
+// scannerCache compiles a device instance's PII scanner on first use and
+// hands the same immutable scanner to every goroutine after that.
+type scannerCache struct {
+	mu sync.Mutex
+	m  map[string]*pii.Scanner
+}
+
+func (sc *scannerCache) get(devID string, corpus *pii.Corpus) *pii.Scanner {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	s := sc.m[devID]
+	if s == nil {
+		s = pii.NewScanner(corpus)
+		sc.m[devID] = s
+	}
+	return s
+}
+
 type seqFinding struct {
 	seq int64
 	ord int
@@ -60,9 +82,13 @@ type instColKey struct {
 
 // NewContentCollector builds a collector.
 func NewContentCollector() *ContentCollector {
+	return newContentCollector(features.SetPaper, &scannerCache{m: make(map[string]*pii.Scanner)})
+}
+
+func newContentCollector(set features.Set, scanners *scannerCache) *ContentCollector {
 	return &ContentCollector{
-		FeatureSet:  features.SetPaper,
-		scanners:    make(map[string]*pii.Scanner),
+		FeatureSet:  set,
+		scanners:    scanners,
 		findSeen:    make(map[PIIFinding]bool),
 		datasets:    make(map[instColKey]*ml.Dataset),
 		devCategory: make(map[instColKey]string),
@@ -84,11 +110,7 @@ func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	devID := exp.Device.ID()
 	// PII scan over every payload (ciphertext can't match, so scanning
 	// everything is equivalent to scanning plaintext only).
-	sc := c.scanners[devID]
-	if sc == nil {
-		sc = pii.NewScanner(exp.Device.PII)
-		c.scanners[devID] = sc
-	}
+	sc := c.scanners.get(devID, exp.Device.PII)
 	ord := 0
 	for _, p := range exp.Packets {
 		if len(p.Payload) == 0 {
@@ -157,21 +179,17 @@ func (c *ContentCollector) finalize() {
 	c.pending = nil
 }
 
-// newShard returns an empty collector with c's feature set.
+// newShard returns an empty collector with c's feature set, sharing c's
+// scanner cache.
 func (c *ContentCollector) newShard() *ContentCollector {
-	s := NewContentCollector()
-	s.FeatureSet = c.FeatureSet
-	return s
+	return newContentCollector(c.FeatureSet, c.scanners)
 }
 
-// merge folds a shard into c. Datasets, metadata and scanners are keyed
-// by device instance, which routes to exactly one shard, so their unions
-// are disjoint and dataset row order matches serial delivery. Pending
+// merge folds a shard into c. Datasets and metadata are keyed by device
+// instance, which routes to exactly one shard, so their unions are
+// disjoint and dataset row order matches serial delivery. Pending
 // findings concatenate and are re-interleaved by finalize.
 func (c *ContentCollector) merge(o *ContentCollector) {
-	for dev, sc := range o.scanners {
-		c.scanners[dev] = sc
-	}
 	c.pending = append(c.pending, o.pending...)
 	for f := range o.findSeen {
 		c.findSeen[f] = true
@@ -196,9 +214,6 @@ func (c *ContentCollector) merge(o *ContentCollector) {
 // a serial run would have assigned. Dataset rows append rather than
 // replace: one instance's rows span every unit of its files.
 func (c *ContentCollector) mergeFold(o *ContentCollector, base, count int64) {
-	for dev, sc := range o.scanners {
-		c.scanners[dev] = sc
-	}
 	for _, sf := range o.pending {
 		sf.seq += base
 		c.pending = append(c.pending, sf)

@@ -3,6 +3,7 @@ package pii
 import (
 	"encoding/base64"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 )
 
@@ -141,32 +142,36 @@ func TestShortValuesNotSearched(t *testing.T) {
 	}
 }
 
-func TestKindsFound(t *testing.T) {
-	matches := []Match{
-		{Item: Item{KindMAC, "m"}, Encoding: "plain"},
-		{Item: Item{KindMAC, "m"}, Encoding: "hex"},
-		{Item: Item{KindEmail, "e"}, Encoding: "plain"},
-	}
-	kinds := KindsFound(matches)
-	if len(kinds) != 2 {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	if kinds[0] != KindEmail || kinds[1] != KindMAC {
-		t.Errorf("sorted kinds = %v", kinds)
-	}
+// ciphertextPayload is n seeded pseudo-random bytes, the byte mix of a
+// TLS record body.
+func ciphertextPayload(n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(1)).Read(b)
+	return b
 }
 
-func TestScanString(t *testing.T) {
+var benchMatches []Match
+
+// BenchmarkScan scans one device-sized corpus over a ciphertext-like
+// payload, which matches nothing and must not allocate, and over a
+// plaintext JSON body that leaks the MAC address.
+func BenchmarkScan(b *testing.B) {
 	s := NewScanner(corpus())
-	if len(s.ScanString("name: jane doe's roku tv")) == 0 {
-		t.Fatal("device name not found via ScanString")
-	}
-}
-
-func TestOffsetReported(t *testing.T) {
-	s := NewScanner(NewCorpus(Item{KindUUID, "abcd-1234"}))
-	matches := s.Scan([]byte("xxxxabcd-1234"))
-	if len(matches) != 1 || matches[0].Offset != 4 {
-		t.Fatalf("matches: %+v", matches)
+	for _, bc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"ciphertext", ciphertextPayload(1400)},
+		{"plaintext-json", []byte(`{"event":"status","device":{"mac":"74:DA:38:1B:20:01",` +
+			`"fw":"2.0.14","uptime":86400,"rssi":-61},"cloud":"iot.example.net","token":` +
+			`"9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"}`)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchMatches = s.Scan(bc.payload)
+			}
+		})
 	}
 }
