@@ -29,9 +29,8 @@ race:
 # Focused race gate over the concurrency-heavy packages: the impairment
 # engine (consulted from parallel lab goroutines), the shared cloud
 # model, the campaign runner that fans out across labs, the parallel
-# forest trainer, the sharded collector stage, the streaming ingest
-# dispatcher with its bounded reorder window and the single-decode fold
-# pass, the fleet runner's bounded-lead home pool folding into
+# forest trainer, the sharded collector stage, the ingest decode pool
+# and its single-decode fold pass, the fleet runner's bounded-lead home pool folding into
 # shared-seed sketches, and the PII scanners every shard and fold unit
 # share.
 racecore:
@@ -43,7 +42,7 @@ racecore:
 # Benchmark sweep (-run '^$$' skips the test suites): the root table
 # harness — which also refreshes BENCH_pipeline.json with the campaign's
 # stage wall times and throughput — plus the ingest-mode comparison
-# (buffered vs two-pass vs single-decode), the forest-training and
+# (buffered vs single-decode), the forest-training and
 # collector-stage benchmarks that record the parallel speedup, the
 # fleet synthesis throughput, the sketch merge/ingest hot paths, the
 # multi-metric entropy family and the PII scan over ciphertext and
@@ -72,10 +71,9 @@ fuzz:
 	done
 
 # End-to-end capture round trip: export a tiny campaign as per-device
-# pcaps, re-ingest it — buffered, streamed through the single-decode
-# fold pass, and streamed through the legacy two-pass replayer with a
-# small reorder window — and require byte-identical table output from
-# all four runs.
+# pcaps, re-ingest it — buffered and streamed through the single-decode
+# fold pass — and require byte-identical table output from all three
+# runs.
 smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/moniotr" ./cmd/moniotr && \
@@ -83,14 +81,11 @@ smoke:
 		> "$$tmp/direct.out" 2> "$$tmp/direct.err" && \
 	"$$tmp/moniotr" -ingest "$$tmp/caps" \
 		> "$$tmp/ingested.out" 2> "$$tmp/ingested.err" && \
-	"$$tmp/moniotr" -ingest "$$tmp/caps" -stream -ingest-window 16 \
+	"$$tmp/moniotr" -ingest "$$tmp/caps" -stream \
 		> "$$tmp/streamed.out" 2> "$$tmp/streamed.err" && \
-	"$$tmp/moniotr" -ingest "$$tmp/caps" -stream -stream-two-pass -ingest-window 16 \
-		> "$$tmp/twopass.out" 2> "$$tmp/twopass.err" && \
 	cmp "$$tmp/direct.out" "$$tmp/ingested.out" && \
 	cmp "$$tmp/direct.out" "$$tmp/streamed.out" && \
-	cmp "$$tmp/direct.out" "$$tmp/twopass.out" && \
-	echo "smoke: export->ingest tables byte-identical (buffered + single-decode + two-pass)"
+	echo "smoke: export->ingest tables byte-identical (buffered + single-decode)"
 
 # Foreign-dataset smoke: export a tiny campaign through every dataset
 # adapter (pcapng containers, 802.1Q trunk pcaps, Linux cooked gateway

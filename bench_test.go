@@ -141,14 +141,6 @@ func BenchmarkIngestBuffered(b *testing.B) {
 	benchIngest(b, ingest.Options{})
 }
 
-// BenchmarkIngestStream replays through the bounded reorder window in
-// the legacy two-pass shape; captures are decoded three times (index +
-// one replay per leg), trading throughput for an O(window) memory
-// high-water mark.
-func BenchmarkIngestStream(b *testing.B) {
-	benchIngest(b, ingest.Options{Stream: true, TwoPass: true})
-}
-
 // noopFoldSink is the fold-mode analogue of the no-op visitor above: it
 // absorbs experiments without analysis cost, so the benchmark isolates
 // source throughput (decode + sort + run dispatch + merge).

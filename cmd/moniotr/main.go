@@ -6,8 +6,8 @@
 //
 //	moniotr [-scale tiny|quick|bench|paper] [-csv dir] [-json] [-tables 2,5,11]
 //	        [-skip-uncontrolled]
-//	        [-export-captures dir] [-ingest dir] [-stream] [-ingest-window n]
-//	        [-stream-two-pass] [-strict] [-dataset name|auto] [-infer-labels]
+//	        [-export-captures dir] [-ingest dir] [-stream] [-strict]
+//	        [-dataset name|auto] [-infer-labels]
 //	        [-transfer-matrix]
 //	        [-metrics out.json] [-pprof :6060]
 //	        [-faults clean|lossy-home|flaky-vpn|outage] [-fault-seed n] [-analysis-workers n]
@@ -20,15 +20,11 @@
 // experiments are read back from such a directory and analysed,
 // producing the same tables — byte-identical for a directory written by
 // -export-captures at the same scale. -stream switches the ingest to
-// bounded-memory streaming. By default that is the single-decode fold
-// pass: each capture file is memory-mapped and decoded exactly once,
-// experiments fold into per-worker accumulators as they decode, and the
-// accumulators merge in campaign order. -stream-two-pass forces the
-// legacy shape instead — files are indexed first, then re-decoded on
-// demand through a reorder window of at most -ingest-window experiments
-// (default 256); the fold pass also falls back to it automatically when
-// per-experiment hooks demand serial delivery. Output stays
-// byte-identical to buffered ingest in every mode; only the memory
+// the single-decode fold pass: each capture file is memory-mapped and
+// decoded exactly once, experiments fold into per-file accumulators as
+// they decode, and the accumulators merge in campaign order, so memory
+// is bounded by the files in flight instead of the whole campaign.
+// Output stays byte-identical to buffered ingest; only the memory
 // high-water mark and wall time change.
 //
 // -dataset selects a foreign-capture adapter (internal/dataset): with
@@ -139,9 +135,7 @@ func main() {
 	faultProfile := flag.String("faults", "", "run the campaign under a network-impairment profile (clean, lossy-home, flaky-vpn, outage)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the impairment engine (0 = campaign seed)")
 	strict := flag.Bool("strict", false, "with -ingest: exit non-zero if any capture content was skipped")
-	stream := flag.Bool("stream", false, "with -ingest: stream captures through a bounded reorder window instead of buffering the campaign")
-	ingestWindow := flag.Int("ingest-window", 0, "with -stream: reorder window capacity in experiments (0 = default)")
-	streamTwoPass := flag.Bool("stream-two-pass", false, "with -stream: force the legacy index+replay shape instead of the single-decode fold pass")
+	stream := flag.Bool("stream", false, "with -ingest: fold captures into the analysis as they decode instead of buffering the campaign")
 	analysisWorkers := flag.Int("analysis-workers", 0, "analysis parallelism: 0 = one worker per core, 1 = serial; output is identical for any value")
 	reshapeStack := flag.String("reshape", "", "apply a traffic-reshaping defense stack (comma-separated: pad, shape, dummy, vpn)")
 	reshapeSeed := flag.Int64("reshape-seed", 0, "seed for the defense engine (0 = campaign seed)")
@@ -245,8 +239,6 @@ func main() {
 		}
 		opts := ingest.Options{
 			Stream:      *stream,
-			Window:      *ingestWindow,
-			TwoPass:     *streamTwoPass,
 			InferLabels: *inferLabels,
 		}
 		if adapter != nil {

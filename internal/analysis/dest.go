@@ -36,9 +36,9 @@ type DestCollector struct {
 	Locators map[string]*geo.Locator
 
 	// OnDestination, when set, observes every labelled non-LAN flow as it
-	// is recorded: the fleet runner taps it to feed sketch aggregates
-	// without buffering flows. Serial pipelines only — shard collectors do
-	// not inherit the hook.
+	// is recorded: the fleet runner taps it on its standalone per-home
+	// collectors to feed sketch aggregates without buffering flows. The
+	// shards and fold units a Pipeline spawns never call it.
 	OnDestination func(exp *testbed.Experiment, d Destination, port uint16, wireBytes int64)
 
 	// parent is set on shard collectors (newShard): state accumulated in

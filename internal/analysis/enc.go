@@ -53,9 +53,9 @@ type EncCollector struct {
 	Thresholds entropy.Thresholds
 
 	// OnFlow, when set, observes every classified non-LAN flow: the fleet
-	// runner taps it to fold encryption volumes into its aggregate without
-	// buffering. Serial pipelines only — shard collectors do not inherit
-	// the hook.
+	// runner taps it on its standalone per-home collectors to fold
+	// encryption volumes into its aggregate without buffering. The shards
+	// and fold units a Pipeline spawns never call it.
 	OnFlow func(exp *testbed.Experiment, class EncClass, wireBytes int64)
 
 	// byte counters

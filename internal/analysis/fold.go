@@ -5,14 +5,15 @@ import (
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
+	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
 // Single-decode streaming support.
 //
 // A Source that also implements singleDecodeSource can push the whole
-// campaign through the pipeline during its decode (index) pass instead
-// of replaying a second decode per leg. Experiments arrive out of
+// campaign through the pipeline during its one decode pass instead of
+// buffering it for a serial replay. Experiments arrive out of
 // campaign order — whichever file a decode worker finishes first — so
 // the collectors absorb them through the fold contract
 // (internal/experiments.FoldSink): each contiguous run of a leg folds
@@ -38,8 +39,7 @@ import (
 type singleDecodeSource interface {
 	Source
 	// SingleDecode reports whether the source can still run a fold pass
-	// (streaming enabled, legacy two-pass not forced, no replay pass
-	// already prepared).
+	// (streaming enabled, no other ingestion pass already run).
 	SingleDecode() bool
 	// RunSingleDecode decodes every file once, folding experiments into
 	// sink units as they decode and merging them in campaign order. It
@@ -120,6 +120,8 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 	} else {
 		u.captureIdle(exp)
 	}
+	// The flow scratches would pin this experiment's packets until merge.
+	u.dest.scratch, u.enc.scratch = netx.FlowScratch{}, netx.FlowScratch{}
 	u.count++
 	exp.Done()
 }

@@ -165,12 +165,8 @@ func (p *Pipeline) Run(cfg InferConfig) {
 	}
 
 	// Single-decode streaming: a source that can fold the campaign into
-	// the collectors during its decode pass skips the per-leg replay
-	// decode entirely. The per-flow observation hooks are serial-only
-	// (they see flows in delivery order), so their presence forces the
-	// classic replay path.
-	if sd, ok := p.Source.(singleDecodeSource); ok && sd.SingleDecode() &&
-		p.Dest.OnDestination == nil && p.Enc.OnFlow == nil {
+	// the collectors during its decode pass never buffers it for replay.
+	if sd, ok := p.Source.(singleDecodeSource); ok && sd.SingleDecode() {
 		p.runSingleDecode(sd, cfg)
 		return
 	}

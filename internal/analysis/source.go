@@ -10,11 +10,12 @@ import (
 // Source streams one campaign's labelled experiments through the
 // pipeline. Two implementations exist: *experiments.Runner synthesizes
 // a campaign in-process (the default), and internal/ingest replays a
-// Mon(IoT)r-style capture directory recorded at real gateways — either
-// buffered whole or streamed through a bounded reorder window
-// (ingest.Options.Stream); the delivery contract below is identical
-// either way. The pipeline is indifferent to which source feeds it —
-// given the same experiment stream all produce byte-identical tables.
+// Mon(IoT)r-style capture directory recorded at real gateways, either
+// buffered whole and replayed through the contract below or, with
+// ingest.Options.Stream, folded into the collectors during its one
+// decode pass (fold.go). The pipeline is indifferent to which source
+// feeds it — given the same experiment stream all produce
+// byte-identical tables.
 type Source interface {
 	// Internet exposes the (simulated) server side the captures talk
 	// to; the destination analysis needs its org registry and

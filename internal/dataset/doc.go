@@ -22,8 +22,8 @@
 // testable and tested: Export→Open→Export reproduces the foreign tree
 // byte-for-byte, and ingesting an adapter's tree yields report tables
 // byte-identical to the native ingest of the same campaign — for any
-// worker count, any dispatch order, and every ingest shape (buffered,
-// two-pass streaming, single-decode fold).
+// worker count, any dispatch order, and both ingest shapes (buffered,
+// single-decode fold).
 //
 // Adapters self-register in init; ByName and Detect resolve them, and
 // moniotr exposes them through the -dataset flag. docs/DATASETS.md walks

@@ -39,39 +39,31 @@
 // the synthesis runner emits. Re-ingesting a directory written by Export
 // therefore reproduces the direct pipeline's tables byte for byte.
 //
-// Three delivery shapes realize that order with different memory and
-// decode profiles:
+// Two delivery shapes realize that order with different memory
+// profiles:
 //
 //   - Buffered (the default): every file is parsed once with bounded
-//     parallelism, the decoded experiments are sorted and then replayed.
-//     Peak memory is the whole campaign, same as the collectors
-//     themselves at synthesis time.
+//     parallelism, the decoded experiments are sorted and then replayed
+//     through RunControlled and RunIdle. Peak memory is the whole
+//     campaign, same as the collectors themselves at synthesis time.
 //
-//   - Single-decode streaming (Options.Stream, the streaming default):
-//     for consumers that implement experiments.FoldSink — the analysis
-//     pipeline's order-tolerant collectors — each decode worker
-//     memory-maps a file (pcapio.OpenFile), decodes it exactly once,
-//     folds its experiments into per-run accumulators in campaign order
-//     as they decode, and unmaps; the accumulators then merge serially
-//     in campaign order, reproducing serial delivery byte for byte. One
-//     decode pass total, no buffer-everything residency; see fold.go for
-//     the contiguity argument.
+//   - Single-decode streaming (Options.Stream): for consumers that
+//     implement experiments.FoldSink — the analysis pipeline's
+//     order-tolerant collectors — each decode worker memory-maps a file
+//     (pcapio.OpenFile), decodes it exactly once, folds its experiments
+//     into per-run accumulators in campaign order as they decode, and
+//     unmaps; the accumulators then merge serially in campaign order,
+//     reproducing serial delivery byte for byte. Peak memory is the
+//     files in flight plus the accumulators, never the campaign; see
+//     fold.go for the contiguity argument.
 //
-//   - Two-pass streaming (Options.Stream with Options.TwoPass, and the
-//     automatic fallback when the consumer needs a serial experiment
-//     stream): an index pass decodes every file but keeps only replay
-//     keys, recycling payload memory through a per-worker pcapio.Arena;
-//     each Run* leg then re-decodes files on demand, in first-use order,
-//     delivering through a reorder window of at most Options.Window
-//     experiments. Peak memory is O(window) — the campaign can be
-//     arbitrarily larger than RAM — at the cost of decoding each capture
-//     once per pass. Replay workers recycle their arenas too, once the
-//     visitor releases every experiment of a file (Experiment.Done); see
-//     stream.go for the scheduling argument.
+// A Stream source offers the fold pass only until it is read some other
+// way: driving it through RunControlled/RunIdle, or asking for its
+// Report before RunSingleDecode, runs the buffered load instead (the
+// pipeline checks SingleDecode first, so Report after Run is safe).
 //
 // Delivery order, stats, Report and all downstream tables are
-// byte-identical across all three shapes, for any worker count and any
-// window size.
+// byte-identical across both shapes, for any worker count.
 //
 // # Resilience
 //

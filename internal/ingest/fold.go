@@ -3,28 +3,27 @@ package ingest
 // Single-decode streaming: fold the campaign into the consumer during
 // the one and only decode pass.
 //
-// The two-pass streaming shape (stream.go) pays for O(window) memory by
-// decoding every file twice. The fold pass erases that tax for
-// consumers that implement experiments.FoldSink (the analysis
-// pipeline): each decode worker memory-maps a file, decodes it once,
-// sorts its experiments into campaign order, folds each contiguous
-// same-(vpn, leg) run into a fresh sink unit, and unmaps. When every
-// file has decoded, the accumulated units merge serially in campaign
-// order — controlled runs first, then idle runs.
+// Buffered mode holds the whole decoded campaign before the first
+// experiment is delivered. The fold pass never does, for consumers
+// that implement experiments.FoldSink (the analysis pipeline): each
+// decode worker memory-maps a file, decodes it once, sorts its
+// experiments into campaign order, folds each contiguous same-(vpn,
+// leg) run into a fresh sink unit, and unmaps. When every file has
+// decoded, the accumulated units merge serially in campaign order —
+// controlled runs first, then idle runs. A unit must copy out what it
+// keeps: packet payloads alias the file's mapping, which is released as
+// soon as the file's runs have folded.
 //
-// Correctness rests on the same determinism parseFile already
-// guarantees plus one contiguity fact: for a fixed file, leg and VPN
-// flag, the file's entries are contiguous in the leg's campaign order,
-// because any entry sorting between two of them shares their whole
-// (lab, vpn, slot, dir, file) prefix and therefore belongs to the same
-// group. Each unit therefore receives exactly the slice of the serial
-// delivery order it claims, in order, and the merge step re-creates
-// the serial order across units.
+// Correctness rests on decodeCapture's determinism plus one contiguity
+// fact: for a fixed file, leg and VPN flag, the file's entries are
+// contiguous in the leg's campaign order, because any entry sorting
+// between two of them shares their whole (lab, vpn, slot, dir, file)
+// prefix and therefore belongs to the same group. Each unit therefore
+// receives exactly the slice of the serial delivery order it claims, in
+// order, and the merge step re-creates the serial order across units.
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
@@ -33,11 +32,10 @@ import (
 )
 
 // SingleDecode reports whether the source can still run a fold pass:
-// streaming mode, the legacy two-pass shape not forced, and no
-// ingestion pass started yet (Report or a Run* leg consumes the same
-// sync.Once, after which only the prepared mode's data exists).
+// streaming mode, and no ingestion pass started yet (Report or a Run*
+// leg runs the buffered load through the same sync.Once).
 func (s *Source) SingleDecode() bool {
-	return s.opts.Stream && !s.opts.TwoPass && !s.started.Load()
+	return s.opts.Stream && !s.started.Load()
 }
 
 // RunSingleDecode decodes every capture file exactly once, folding
@@ -63,85 +61,58 @@ type foldedRun struct {
 }
 
 func (s *Source) foldPass(sink experiments.FoldSink) (ctl, idle experiments.Stats) {
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.files) {
-		workers = len(s.files)
-	}
 	decodeH := s.metrics.Histogram("ingest_file_decode_seconds", obs.DurationBuckets)
 	expTotal := s.metrics.Counter("experiments_total")
-	s.metrics.Counter("ingest_decode_passes_total").Inc()
 
 	type fileOut struct {
 		runs      []foldedRun
 		report    Report
 		ctl, idle experiments.Stats
 	}
-
-	next := make(chan string)
-	results := make(chan fileOut)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rel := range next {
-				t0 := time.Now()
-				res, release := s.parseFileMapped(rel)
-				decodeH.ObserveDuration(time.Since(t0))
-				out := fileOut{report: res.report}
-				// A file's entries fold in campaign order; within one file
-				// the key reduces to (vpn, window).
-				sort.Slice(res.entries, func(i, j int) bool {
-					return res.entries[i].key.less(res.entries[j].key)
-				})
-				var cur *foldedRun
-				for _, e := range res.entries {
-					controlled := e.exp.Kind != testbed.KindIdle
-					if controlled {
-						account(&out.ctl, e.exp)
-					} else {
-						account(&out.idle, e.exp)
-					}
-					expTotal.Inc()
-					if cur == nil || cur.controlled != controlled ||
-						cur.key.vpn != e.key.vpn {
-						out.runs = append(out.runs, foldedRun{
-							key:        e.key,
-							controlled: controlled,
-							unit:       sink.NewFoldUnit(controlled),
-						})
-						cur = &out.runs[len(out.runs)-1]
-					}
-					cur.unit.Fold(e.exp)
-				}
-				// Everything the fold keeps is copied out of the packet
-				// buffers, so the mapping can go before the merge.
-				if release != nil {
-					release()
-				}
-				results <- out
+	foldFile := func(rel string) fileOut {
+		t0 := time.Now()
+		res, release := s.parseFileMapped(rel)
+		decodeH.ObserveDuration(time.Since(t0))
+		out := fileOut{report: res.report}
+		// A file's entries fold in campaign order; within one file the
+		// key reduces to (vpn, window).
+		sort.Slice(res.entries, func(i, j int) bool {
+			return res.entries[i].key.less(res.entries[j].key)
+		})
+		var cur *foldedRun
+		for _, e := range res.entries {
+			controlled := e.exp.Kind != testbed.KindIdle
+			if controlled {
+				account(&out.ctl, e.exp)
+			} else {
+				account(&out.idle, e.exp)
 			}
-		}()
-	}
-	go func() {
-		for _, rel := range s.dispatchOrder() {
-			next <- rel
+			expTotal.Inc()
+			if cur == nil || cur.controlled != controlled || cur.key.vpn != e.key.vpn {
+				out.runs = append(out.runs, foldedRun{
+					key:        e.key,
+					controlled: controlled,
+					unit:       sink.NewFoldUnit(controlled),
+				})
+				cur = &out.runs[len(out.runs)-1]
+			}
+			cur.unit.Fold(e.exp)
 		}
-		close(next)
-		wg.Wait()
-		close(results)
-	}()
+		// Everything the fold keeps is copied out of the packet buffers,
+		// so the mapping can go before the merge.
+		if release != nil {
+			release()
+		}
+		return out
+	}
 
 	var runs []foldedRun
-	for out := range results {
+	decodePass(s, foldFile, func(out fileOut) {
 		addReport(&s.report, out.report)
 		addStats(&ctl, out.ctl)
 		addStats(&idle, out.idle)
 		runs = append(runs, out.runs...)
-	}
+	})
 	s.publishReport()
 
 	// Merge in campaign order: the controlled leg completely, then the

@@ -24,12 +24,6 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
-// DefaultWindow is the streaming reorder window's default capacity, in
-// experiments. It comfortably covers the decode lookahead of any sane
-// worker count while keeping the window's packet footprint a rounding
-// error next to a buffered campaign.
-const DefaultWindow = 256
-
 // Options configure a capture-directory source.
 type Options struct {
 	// Workers bounds the per-file parse parallelism (0 = GOMAXPROCS).
@@ -42,32 +36,18 @@ type Options struct {
 	// allocation-deterministic and therefore matches the model the
 	// captures were synthesized against.
 	Internet *cloud.Internet
-	// Stream selects the bounded-memory delivery mode: instead of
-	// buffering every decoded experiment before replay, the source
-	// indexes the tree first (decoding files but keeping only replay
-	// keys), then re-decodes files on demand and delivers experiments
-	// through a bounded reorder window. Replay order — and therefore
-	// every downstream table — is byte-identical to buffered mode; peak
-	// memory is O(window), not O(campaign). See stream.go.
+	// Stream offers the single-decode fold pass (fold.go) to a
+	// fold-capable consumer: the analysis pipeline absorbs each file's
+	// experiments as they decode, so memory stays bounded by the files
+	// in flight rather than the campaign. Every table is byte-identical
+	// to buffered mode. A Stream source read any other way — through
+	// RunControlled/RunIdle, or Report before the fold pass — loads
+	// buffered.
 	Stream bool
-	// Window caps the experiments held in the streaming reorder window
-	// (0 = DefaultWindow). It is a soft bound: delivery-order progress
-	// is never sacrificed to it, so the window can briefly overshoot by
-	// the contents of files already being decoded.
-	Window int
-	// TwoPass forces the legacy streaming shape — index pass plus a
-	// re-decoding replay pass per leg — even when the consumer supports
-	// single-decode folding (see fold.go). The default lets a
-	// fold-capable pipeline absorb the campaign during the one decode
-	// pass; consumers that drive RunControlled/RunIdle directly always
-	// get the two-pass replay regardless.
-	TwoPass bool
 	// DispatchSeed, when non-zero, shuffles the order files are handed
-	// to the decode workers in the order-independent passes (buffered
-	// load, streaming index, single-decode fold). Every downstream
-	// table is byte-identical for any seed — the knob exists so tests
-	// can prove that. Replay-pass scheduling is not shuffled: its
-	// first-occurrence order is what bounds the reorder window.
+	// to the decode workers (buffered load and fold pass alike). Every
+	// downstream table is byte-identical for any seed — the knob exists
+	// so tests can prove that.
 	DispatchSeed int64
 	// Layout maps a foreign capture tree's conventions (file naming,
 	// label storage, device hints) onto the campaign model; nil means
@@ -190,19 +170,9 @@ type Source struct {
 	started atomic.Bool // set once any ingestion pass has begun
 	report  Report
 
-	// arenas pools per-file payload arenas for the streaming replay
-	// workers; arenas return to the pool when every experiment decoded
-	// from their file has been released (testbed.Experiment.Done).
-	arenas sync.Pool
-
-	// Buffered mode: the decoded campaign, split by leg.
+	// The buffered campaign, split by leg.
 	controlled []*entry
 	idle       []*entry
-
-	// Streaming mode: replay keys only, split by leg; packets are
-	// re-decoded on demand during replay (see stream.go).
-	ctlIndex  []streamEntry
-	idleIndex []streamEntry
 
 	slots map[string]slotPos
 }
@@ -297,9 +267,10 @@ func (s *Source) Internet() *cloud.Internet { return s.internet }
 // per-reason skip counts under the ingest_* names.
 func (s *Source) SetObs(reg *obs.Registry) { s.metrics = reg }
 
-// Report returns the ingestion counts; valid after the first Run*. In
-// streaming mode the counts come from the index pass, so they cover the
-// whole tree even before any experiment has been replayed.
+// Report returns the ingestion counts. If no ingestion pass has run
+// yet it runs the buffered load, so the counts always cover the whole
+// tree; call it after RunSingleDecode to keep a Stream source's fold
+// pass.
 func (s *Source) Report() Report {
 	s.prepare()
 	return s.report
@@ -309,22 +280,12 @@ func (s *Source) Report() Report {
 // in campaign order.
 func (s *Source) RunControlled(visit experiments.Visitor) experiments.Stats {
 	s.prepare()
-	if s.opts.Stream {
-		leg := s.ctlIndex
-		s.ctlIndex = nil // the tape is consumed as it plays
-		return s.streamReplay(leg, func(k testbed.ExperimentKind) bool { return k != testbed.KindIdle }, visit)
-	}
 	return s.replay(s.controlled, visit)
 }
 
 // RunIdle replays the idle capture windows in campaign order.
 func (s *Source) RunIdle(visit experiments.Visitor) experiments.Stats {
 	s.prepare()
-	if s.opts.Stream {
-		leg := s.idleIndex
-		s.idleIndex = nil // the tape is consumed as it plays
-		return s.streamReplay(leg, func(k testbed.ExperimentKind) bool { return k == testbed.KindIdle }, visit)
-	}
 	return s.replay(s.idle, visit)
 }
 
@@ -363,28 +324,22 @@ func account(stats *experiments.Stats, exp *testbed.Experiment) {
 
 // fileResult carries one worker's output back to the merge step.
 type fileResult struct {
-	entries []*entry      // decoded experiments (buffered mode, replay pass)
-	index   []streamEntry // replay keys only (streaming index pass)
+	entries []*entry
 	report  Report
 }
 
-// prepare runs the one-time ingestion pass for the configured mode:
-// buffered mode decodes and holds the whole campaign, streaming mode
-// builds the replay-order index and defers packet data to replay time.
+// prepare runs the buffered load once, unless the fold pass already
+// consumed the source.
 func (s *Source) prepare() {
 	s.once.Do(func() {
 		s.started.Store(true)
-		if s.opts.Stream {
-			s.buildIndex()
-		} else {
-			s.loadBuffered()
-		}
+		s.loadBuffered()
 	})
 }
 
-// dispatchOrder returns the file list in worker-dispatch order for the
-// order-independent decode passes: the lexical order by default, or a
-// seeded shuffle when Options.DispatchSeed asks for one.
+// dispatchOrder returns the file list in worker-dispatch order: the
+// lexical order by default, or a seeded shuffle when
+// Options.DispatchSeed asks for one.
 func (s *Source) dispatchOrder() []string {
 	if s.opts.DispatchSeed == 0 {
 		return s.files
@@ -398,8 +353,17 @@ func (s *Source) dispatchOrder() []string {
 // loadBuffered parses every capture file once, with bounded parallelism,
 // then sorts the buffered experiments into campaign replay order.
 func (s *Source) loadBuffered() {
+	decodeH := s.metrics.Histogram("ingest_file_decode_seconds", obs.DurationBuckets)
 	var all []*entry
-	s.parsePass(false, func(res fileResult) { all = append(all, res.entries...) })
+	decodePass(s, func(rel string) fileResult {
+		t0 := time.Now()
+		res := s.parseFile(rel)
+		decodeH.ObserveDuration(time.Since(t0))
+		return res
+	}, func(res fileResult) {
+		addReport(&s.report, res.report)
+		all = append(all, res.entries...)
+	})
 	sort.Slice(all, func(i, j int) bool { return all[i].key.less(all[j].key) })
 	for _, e := range all {
 		switch e.exp.Kind {
@@ -412,13 +376,10 @@ func (s *Source) loadBuffered() {
 	s.publishReport()
 }
 
-// parsePass runs the bounded-worker decode over every capture file,
-// merging per-file reports into s.report and handing each result to
-// collect on a single goroutine. With strip set, each worker decodes
-// straight out of a memory-mapped (or whole-file) read and keeps only
-// the replay keys, so the pass holds at most workers× one file's bytes
-// at a time.
-func (s *Source) parsePass(strip bool, collect func(fileResult)) {
+// decodePass is the one decode pass both shapes make: it hands every
+// capture file, in dispatch order, to decode on a bounded worker pool
+// and passes each result to collect on the calling goroutine.
+func decodePass[R any](s *Source, decode func(rel string) R, collect func(R)) {
 	workers := s.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -426,38 +387,17 @@ func (s *Source) parsePass(strip bool, collect func(fileResult)) {
 	if workers > len(s.files) {
 		workers = len(s.files)
 	}
-	decodeH := s.metrics.Histogram("ingest_file_decode_seconds", obs.DurationBuckets)
 	s.metrics.Counter("ingest_decode_passes_total").Inc()
 
 	next := make(chan string)
-	results := make(chan fileResult)
+	results := make(chan R)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rel := range next {
-				t0 := time.Now()
-				var res fileResult
-				if strip {
-					var release func()
-					res, release = s.parseFileMapped(rel)
-					decodeH.ObserveDuration(time.Since(t0))
-					res.index = make([]streamEntry, len(res.entries))
-					for i, e := range res.entries {
-						res.index[i] = streamEntry{key: e.key, kind: e.exp.Kind}
-					}
-					// Decoded packets alias the mapping; drop them before
-					// releasing it.
-					res.entries = nil
-					if release != nil {
-						release()
-					}
-				} else {
-					res = s.parseFile(rel, nil)
-					decodeH.ObserveDuration(time.Since(t0))
-				}
-				results <- res
+				results <- decode(rel)
 			}
 		}()
 	}
@@ -469,9 +409,7 @@ func (s *Source) parsePass(strip bool, collect func(fileResult)) {
 		wg.Wait()
 		close(results)
 	}()
-
 	for res := range results {
-		addReport(&s.report, res.report)
 		collect(res)
 	}
 }
@@ -493,7 +431,7 @@ func addReport(dst *Report, src Report) {
 }
 
 // publishReport mirrors the final ingestion counts into the metrics
-// registry, once, after the load/index pass completes.
+// registry, once, after the buffered load or fold pass completes.
 func (s *Source) publishReport() {
 	s.metrics.Counter("ingest_files_total").Add(int64(s.report.Files))
 	s.metrics.Counter("ingest_records_total").Add(int64(s.report.Records))
@@ -535,11 +473,7 @@ func slotIndex(catalog []*devices.Instance) map[string]slotPos {
 
 // parseFile ingests one capture: decode, identify, slice into windows.
 // Every failure mode is a counted skip; parseFile never aborts the run.
-// It is deterministic in rel alone, which is what lets streaming mode
-// re-parse a file during replay and recover the exact entries the index
-// pass saw. A non-nil arena backs packet payloads with recyclable
-// memory; the caller owns the reset and must discard the entries first.
-func (s *Source) parseFile(rel string, arena *pcapio.Arena) fileResult {
+func (s *Source) parseFile(rel string) fileResult {
 	var res fileResult
 	res.report.Files = 1
 
@@ -554,7 +488,6 @@ func (s *Source) parseFile(rel string, arena *pcapio.Arena) fileResult {
 		res.report.Skips.BadFiles++
 		return res
 	}
-	rd.SetArena(arena)
 	s.decodeCapture(&res, rel, rd)
 	return res
 }
@@ -593,7 +526,7 @@ func (s *Source) parseFileMapped(rel string) (fileResult, func()) {
 // decodeCapture runs the shared decode-identify-slice body of a parse:
 // it drains rd into packets, then windows them by the sidecar labels.
 // It is deterministic in rel and the file bytes alone — the property
-// streaming replay and fold merging both rest on.
+// fold merging rests on.
 func (s *Source) decodeCapture(res *fileResult, rel string, rd *pcapio.Reader) {
 	var pkts []*netx.Packet
 	for {

@@ -3,11 +3,13 @@ package ingest
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/cloud"
 	"github.com/neu-sns/intl-iot-go/internal/devices"
+	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
 	"github.com/neu-sns/intl-iot-go/internal/pcapio"
@@ -51,8 +53,8 @@ func writeTestCapture(t *testing.T, devDir string, n int, exp *testbed.Experimen
 
 // TestIngestRobustness builds a capture tree exercising every failure
 // mode at once and checks that ingestion completes, keeps the good
-// experiments, and reports every skip reason as nonzero — in both
-// buffered and streaming delivery modes.
+// experiments, and reports every skip reason as nonzero — through both
+// the buffered replay and the single-decode fold pass.
 func TestIngestRobustness(t *testing.T) {
 	lab := makeLab(t)
 	slot := lab.Slots()[0]
@@ -141,14 +143,23 @@ func TestIngestRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	reports := map[string]Report{}
 	for _, mode := range []struct {
 		name string
 		opts Options
+		run  func(*Source) ([]*testbed.Experiment, experiments.Stats)
 	}{
-		{"buffered", Options{Workers: 2}},
-		// Window 1 forces the reorder window through its stall path on
-		// any multi-experiment file ordering.
-		{"streaming", Options{Workers: 2, Stream: true, Window: 1}},
+		{"buffered", Options{Workers: 2}, func(src *Source) ([]*testbed.Experiment, experiments.Stats) {
+			var got []*testbed.Experiment
+			stats := src.RunControlled(func(e *testbed.Experiment) { got = append(got, e) })
+			src.RunIdle(func(*testbed.Experiment) {})
+			return got, stats
+		}},
+		{"fold", Options{Workers: 2, Stream: true}, func(src *Source) ([]*testbed.Experiment, experiments.Stats) {
+			sink := &collectSink{}
+			stats, _ := src.RunSingleDecode(sink)
+			return sink.controlled, stats
+		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			src, err := Open(root, mode.opts)
@@ -157,10 +168,7 @@ func TestIngestRobustness(t *testing.T) {
 			}
 			reg := obs.NewRegistry()
 			src.SetObs(reg)
-
-			var got []*testbed.Experiment
-			stats := src.RunControlled(func(e *testbed.Experiment) { got = append(got, e) })
-			src.RunIdle(func(*testbed.Experiment) {})
+			got, stats := mode.run(src)
 
 			// The healthy, truncated and decode-skip files each yield one
 			// experiment for the same device.
@@ -183,6 +191,7 @@ func TestIngestRobustness(t *testing.T) {
 			}
 
 			rep := src.Report()
+			reports[mode.name] = rep
 			if rep.Files != 6 {
 				t.Fatalf("report.Files = %d, want 6", rep.Files)
 			}
@@ -199,8 +208,7 @@ func TestIngestRobustness(t *testing.T) {
 				}
 			}
 
-			// The obs snapshot mirrors the report; the skip counts must not
-			// double-count streaming's replay re-parse.
+			// The obs snapshot mirrors the report.
 			for counter, want := range map[string]int{
 				"ingest_files_total":          rep.Files,
 				"ingest_records_total":        rep.Records,
@@ -218,17 +226,34 @@ func TestIngestRobustness(t *testing.T) {
 			if reg.Histogram("ingest_file_decode_seconds", obs.DurationBuckets).Count() != 6 {
 				t.Error("decode latency histogram should have one observation per file")
 			}
-			if mode.opts.Stream {
-				if hw := reg.Gauge("ingest_window_high_water").Value(); hw < 1 {
-					t.Errorf("ingest_window_high_water = %v, want >= 1", hw)
-				}
-				if occ := reg.Gauge("ingest_window_occupancy").Value(); occ != 0 {
-					t.Errorf("ingest_window_occupancy = %v after replay, want 0", occ)
-				}
-			}
 		})
 	}
+	if !reflect.DeepEqual(reports["fold"], reports["buffered"]) {
+		t.Errorf("fold report = %s, buffered = %s", reports["fold"], reports["buffered"])
+	}
 }
+
+// collectSink gathers the controlled experiments of a fold pass in
+// campaign order: each unit keeps its run, and the serial merge appends
+// the runs in order. Only experiment metadata and packet counts may be
+// read afterwards — payloads alias mappings the pass has released.
+type collectSink struct {
+	controlled []*testbed.Experiment
+}
+
+type collectUnit struct {
+	exps []*testbed.Experiment
+}
+
+func (s *collectSink) NewFoldUnit(bool) experiments.FoldUnit { return &collectUnit{} }
+
+func (s *collectSink) MergeFoldUnit(controlled bool, u experiments.FoldUnit) {
+	if controlled {
+		s.controlled = append(s.controlled, u.(*collectUnit).exps...)
+	}
+}
+
+func (u *collectUnit) Fold(exp *testbed.Experiment) { u.exps = append(u.exps, exp) }
 
 // TestIngestZeroPacketIdleWindow checks that an empty idle capture still
 // yields an experiment via the directory-name fallback: Table 11's

@@ -17,9 +17,8 @@ import (
 // tab-separated ".labels" sidecars under "<lab>/<device>/" directories —
 // is the nil default; dataset adapters (internal/dataset) provide
 // foreign layouts so public IoT datasets in other shapes flow through
-// the identical decode/identify/slice path, in every ingest shape
-// (buffered, two-pass streaming, single-decode fold) and for any worker
-// count.
+// the identical decode/identify/slice path, in both ingest shapes
+// (buffered, single-decode fold) and for any worker count.
 type Layout interface {
 	// IsCapture reports whether the root-relative path names a capture
 	// file this layout wants ingested.

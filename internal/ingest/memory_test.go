@@ -6,18 +6,22 @@ import (
 	"testing"
 
 	intliot "github.com/neu-sns/intl-iot-go"
+	"github.com/neu-sns/intl-iot-go/internal/analysis"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/ingest"
+	"github.com/neu-sns/intl-iot-go/internal/ml"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
 // TestStreamingMemoryHighWater guards the point of streaming mode: the
-// peak heap while replaying a tiny-scale exported campaign through a
-// small reorder window must stay below buffered mode's, which holds the
-// whole decoded campaign at its first delivery. Both peaks are sampled
-// the same way (forced GC + HeapAlloc at delivery points), so the
-// comparison is apples to apples even though the absolute numbers move
-// with the runtime.
+// peak heap while the real analysis collectors fold a tiny-scale
+// exported campaign must stay at a fraction of buffered mode's, which
+// holds the whole decoded campaign at its first delivery. A fold unit
+// that keeps its experiments' packets alive until the merge (through a
+// recycled flow table, say) pushes the fold peak past that fraction.
+// Both peaks are sampled the same way (forced GC + HeapAlloc at
+// delivery points), so the comparison is apples to apples even though
+// the absolute numbers move with the runtime.
 func TestStreamingMemoryHighWater(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaign round trip")
@@ -39,94 +43,117 @@ func TestStreamingMemoryHighWater(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	peak := func(opts ingest.Options) uint64 {
-		src, err := ingest.Open(dir, opts)
+	// Buffered: sample the first delivery (the whole campaign is
+	// resident) plus every 16th.
+	peakBuffered := func() uint64 {
+		src, err := ingest.Open(dir, ingest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ms runtime.MemStats
-		var max uint64
-		visits := 0
-		visit := func(*testbed.Experiment) {
-			visits++
-			// GC on every visit would drown the test in collections;
-			// sampling the first delivery (buffered mode's peak — the
-			// whole campaign is resident) plus every 16th catches both
-			// profiles' steady state.
-			if visits != 1 && visits%16 != 0 {
-				return
-			}
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > max {
-				max = ms.HeapAlloc
-			}
-		}
+		var h heapSampler
+		visit := func(*testbed.Experiment) { h.tick() }
 		src.RunControlled(visit)
 		src.RunIdle(visit)
-		if visits == 0 {
+		if h.ticks.Load() == 0 {
 			t.Fatal("no experiments replayed")
 		}
-		return max
+		return h.max.Load()
 	}
 
-	// The single-decode fold pass has no replay window, but its residency
-	// bound is the same shape: only files mid-decode plus the (small)
-	// fold accumulators are live, never the whole campaign. Sample inside
-	// Fold, where in-flight decode memory is at its fullest.
+	// Fold: a Study over the real pipeline, its fold units wrapped so
+	// the heap is sampled inside Fold (where in-flight decode memory is
+	// at its fullest) and at the first merge (where every unit's
+	// residue is live at once).
 	peakFold := func() uint64 {
 		src, err := ingest.Open(dir, ingest.Options{Stream: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &samplingFoldSink{}
-		src.RunSingleDecode(s)
-		if s.folds.Load() == 0 {
+		ss := &samplingSource{Source: src}
+		s := intliot.NewStudyFromSource(ss)
+		s.SetInferenceConfig(analysis.InferConfig{CV: ml.CVConfig{
+			TrainFrac: 0.7, Repeats: 2, Seed: 42,
+			Forest: ml.ForestConfig{NumTrees: 5},
+		}})
+		s.Run()
+		if ss.heap.ticks.Load() == 0 {
 			t.Fatal("no experiments folded")
 		}
-		return s.max.Load()
+		return ss.heap.max.Load()
 	}
 
-	buffered := peak(ingest.Options{})
-	streamed := peak(ingest.Options{Stream: true, TwoPass: true, Window: 8})
+	buffered := peakBuffered()
 	folded := peakFold()
-	t.Logf("peak heap: buffered=%d two-pass=%d single-decode=%d (%.0f%% / %.0f%%)",
-		buffered, streamed, folded,
-		100*float64(streamed)/float64(buffered), 100*float64(folded)/float64(buffered))
-	if streamed >= buffered {
-		t.Errorf("two-pass streaming peak heap %d B is not below buffered %d B", streamed, buffered)
-	}
-	if folded >= buffered {
-		t.Errorf("single-decode peak heap %d B is not below buffered %d B", folded, buffered)
+	ratio := float64(folded) / float64(buffered)
+	t.Logf("peak heap: buffered=%d single-decode=%d (%.2f)", buffered, folded, ratio)
+	if ratio > 0.25 {
+		t.Errorf("single-decode peak heap %d B is %.2f of buffered %d B, want <= 0.25", folded, ratio, buffered)
 	}
 }
 
-// samplingFoldSink absorbs folded experiments while sampling the heap
-// the same way the visitor above does; fields are atomics because fold
-// units run on concurrent decode workers.
-type samplingFoldSink struct {
-	folds atomic.Uint64
+// heapSampler records the peak HeapAlloc after a forced GC on the first
+// tick and every 16th; GC on every tick would drown the test in
+// collections. Fields are atomics because fold units run on concurrent
+// decode workers.
+type heapSampler struct {
+	ticks atomic.Uint64
 	max   atomic.Uint64
 }
 
-func (s *samplingFoldSink) NewFoldUnit(bool) experiments.FoldUnit    { return (*samplingFoldUnit)(s) }
-func (s *samplingFoldSink) MergeFoldUnit(bool, experiments.FoldUnit) {}
+func (h *heapSampler) tick() {
+	if n := h.ticks.Add(1); n == 1 || n%16 == 0 {
+		h.sample()
+	}
+}
 
-type samplingFoldUnit samplingFoldSink
-
-func (u *samplingFoldUnit) Fold(exp *testbed.Experiment) {
-	s := (*samplingFoldSink)(u)
-	n := s.folds.Add(1)
-	if n == 1 || n%16 == 0 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		for {
-			cur := s.max.Load()
-			if ms.HeapAlloc <= cur || s.max.CompareAndSwap(cur, ms.HeapAlloc) {
-				break
-			}
+func (h *heapSampler) sample() {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for {
+		cur := h.max.Load()
+		if ms.HeapAlloc <= cur || h.max.CompareAndSwap(cur, ms.HeapAlloc) {
+			return
 		}
 	}
-	exp.Done()
+}
+
+// samplingSource is an ingest.Source whose fold pass hands the
+// pipeline's sink to a heap-sampling sink that delegates to it.
+type samplingSource struct {
+	*ingest.Source
+	heap heapSampler
+}
+
+func (s *samplingSource) RunSingleDecode(sink experiments.FoldSink) (ctl, idle experiments.Stats) {
+	return s.Source.RunSingleDecode(&samplingFoldSink{inner: sink, heap: &s.heap})
+}
+
+type samplingFoldSink struct {
+	inner  experiments.FoldSink
+	heap   *heapSampler
+	merged bool
+}
+
+type samplingFoldUnit struct {
+	inner experiments.FoldUnit
+	heap  *heapSampler
+}
+
+func (s *samplingFoldSink) NewFoldUnit(controlled bool) experiments.FoldUnit {
+	return &samplingFoldUnit{inner: s.inner.NewFoldUnit(controlled), heap: s.heap}
+}
+
+// MergeFoldUnit runs serially, so merged needs no synchronization.
+func (s *samplingFoldSink) MergeFoldUnit(controlled bool, u experiments.FoldUnit) {
+	if !s.merged {
+		s.merged = true
+		s.heap.sample()
+	}
+	s.inner.MergeFoldUnit(controlled, u.(*samplingFoldUnit).inner)
+}
+
+func (u *samplingFoldUnit) Fold(exp *testbed.Experiment) {
+	u.heap.tick()
+	u.inner.Fold(exp)
 }

@@ -30,8 +30,8 @@ var ErrUploadTooLarge = errors.New("upload exceeds limit")
 // directory (as produced by `tar -cf - -C <exportdir> .`) into dst,
 // creating dst if needed. It is the receiving half of the moniotrd
 // upload API: the unpacked tree is handed straight to Open, typically in
-// streaming mode so the daemon's heap stays bounded by the reorder
-// window rather than the campaign.
+// streaming mode so the daemon's heap stays bounded by the files in
+// flight rather than the campaign.
 //
 // Only regular files named *.pcap or *.labels (and the directories
 // leading to them) are materialized; anything else — symlinks, device

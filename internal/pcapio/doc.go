@@ -25,11 +25,8 @@
 // each record's header and payload into one buffer so a partial write
 // can never desynchronize the stream from Count(), and WriteBatch
 // coalesces whole pre-serialized experiments into large record-aligned
-// chunks that bypass the bufio copy entirely. The read path pairs with
-// Arena, a recyclable payload allocator that makes repeated
-// decode-and-discard loops (the streaming ingest's index pass)
-// allocation-free at steady state. For the single-decode ingest path,
-// OpenFile memory-maps a capture (with an os.ReadFile fallback on
+// chunks that bypass the bufio copy entirely. For the single-decode
+// ingest path, OpenFile memory-maps a capture (with an os.ReadFile fallback on
 // platforms without mmap) and NewReaderBytes decodes records zero-copy
 // straight off the mapping — record slices are capacity-capped so an
 // append can never write into the read-only backing store.

@@ -50,7 +50,7 @@ func (e *ErrTruncated) Error() string {
 // Record is one captured packet: its timestamp, the bytes captured and the
 // original wire length.
 //
-// Data returned by Reader.Next is carved from a shared arena slab with a
+// Data returned by Reader.Next is carved from a shared slab with a
 // capped capacity (len == cap), so records are safe to retain and append
 // to — growing one reallocates rather than scribbling on a neighbour —
 // while the reader amortizes one allocation across many packets.
@@ -215,52 +215,10 @@ func (w *Writer) Count() int { return w.count }
 // Flush flushes buffered bytes to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// arenaChunk sizes the Reader's payload slab. IoT packets average well
+// slabChunk sizes the Reader's payload slab. IoT packets average well
 // under 1 KiB, so one chunk typically serves hundreds of records with a
 // single allocation.
-const arenaChunk = 64 * 1024
-
-// Arena is a reusable payload allocator for Readers. By default every
-// Reader grows fresh slab chunks and abandons them to the garbage
-// collector; ingestion loops that decode a file, use its records, and
-// discard them before moving on can instead share one Arena across
-// files (Reader.SetArena) and Reset it between them, making the
-// steady-state decode path allocation-free.
-//
-// Reset recycles every chunk, so all record Data previously carved from
-// the arena is invalidated — callers must be done with the records (or
-// have copied what they keep) before resetting. An Arena is not safe for
-// concurrent use; give each decoding goroutine its own.
-type Arena struct {
-	chunks [][]byte
-	cur    int // chunk currently being carved
-	off    int // carve offset within chunks[cur]
-}
-
-// NewArena returns an empty arena; chunks are grown on demand.
-func NewArena() *Arena { return &Arena{} }
-
-// alloc carves an n-byte buffer (n < arenaChunk) with capacity capped at
-// its length, so retained records never alias each other.
-func (a *Arena) alloc(n int) []byte {
-	if a.cur < len(a.chunks) && len(a.chunks[a.cur])-a.off < n {
-		a.cur++
-		a.off = 0
-	}
-	if a.cur >= len(a.chunks) {
-		a.chunks = append(a.chunks, make([]byte, arenaChunk))
-		a.off = 0
-	}
-	buf := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
-	return buf
-}
-
-// Reset makes every chunk available for carving again. All previously
-// returned buffers are invalidated; see the type doc.
-func (a *Arena) Reset() {
-	a.cur, a.off = 0, 0
-}
+const slabChunk = 64 * 1024
 
 // Reader reads a classic pcap stream.
 type Reader struct {
@@ -278,13 +236,10 @@ type Reader struct {
 	// hdr is the per-record header scratch; its bytes are fully decoded
 	// before the next read, so a single buffer serves every record.
 	hdr [packetHeaderLen]byte
-	// slab is the remaining tail of the current payload arena chunk.
+	// slab is the remaining tail of the current payload chunk.
 	// Record payloads are carved off its front with capacity capped at
 	// their length, so retained records never alias each other.
 	slab []byte
-	// arena, when set via SetArena, replaces slab as the payload source,
-	// letting callers recycle decode memory across files.
-	arena *Arena
 	// ngMode marks a pcapng capture; ifaces is its per-section interface
 	// table and ngBuf the stream-mode block staging buffer (see pcapng.go).
 	ngMode bool
@@ -292,12 +247,7 @@ type Reader struct {
 	ngBuf  []byte
 }
 
-// SetArena makes the reader carve record payloads from a caller-owned
-// reusable arena instead of growing private slab chunks. Records stay
-// valid until the arena is Reset; see Arena for the recycling contract.
-func (r *Reader) SetArena(a *Arena) { r.arena = a }
-
-// alloc carves an n-byte payload buffer. Small requests share arena
+// alloc carves an n-byte payload buffer. Small requests share slab
 // chunks; outsized ones (≥ a quarter chunk) get their own allocation so a
 // few jumbo frames don't strand mostly-unused slabs.
 func (r *Reader) alloc(n int) []byte {
@@ -306,14 +256,11 @@ func (r *Reader) alloc(n int) []byte {
 		// records with reflect.DeepEqual, which separates nil from empty.
 		return []byte{}
 	}
-	if n >= arenaChunk/4 {
+	if n >= slabChunk/4 {
 		return make([]byte, n)
 	}
-	if r.arena != nil {
-		return r.arena.alloc(n)
-	}
 	if len(r.slab) < n {
-		r.slab = make([]byte, arenaChunk)
+		r.slab = make([]byte, slabChunk)
 	}
 	buf := r.slab[:n:n]
 	r.slab = r.slab[n:]
@@ -373,8 +320,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Record's Data is a capacity-capped sub-slice of data. Records are
 // therefore exactly as long-lived (and as mutable) as the backing slice;
 // callers that outlive it must copy what they keep, and a read-only
-// mapping makes the records read-only too. SetArena has no effect in
-// bytes mode.
+// mapping makes the records read-only too.
 func NewReaderBytes(data []byte) (*Reader, error) {
 	if len(data) >= 4 && binary.LittleEndian.Uint32(data[:4]) == ngBlockSHB {
 		return newNGReaderBytes(data)

@@ -536,97 +536,6 @@ func TestWriteBatchErrorMidBatch(t *testing.T) {
 	}
 }
 
-// TestArenaReuse: a reader fed from a shared arena reuses its chunks
-// after Reset instead of growing, and records stay non-aliasing within
-// one decode pass.
-func TestArenaReuse(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, WriterOptions{})
-	for i := 0; i < 50; i++ {
-		w.WritePacket(t0.Add(time.Duration(i)*time.Millisecond), bytes.Repeat([]byte{byte(i)}, 512))
-	}
-	w.Flush()
-	raw := buf.Bytes()
-
-	arena := NewArena()
-	decode := func() []Record {
-		r, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.SetArena(arena)
-		recs, err := r.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-
-	recs := decode()
-	for i, rec := range recs {
-		if len(rec.Data) != 512 || rec.Data[0] != byte(i) {
-			t.Fatalf("record %d corrupted", i)
-		}
-		if cap(rec.Data) != len(rec.Data) {
-			t.Fatalf("record %d capacity not capped: cap=%d", i, cap(rec.Data))
-		}
-	}
-
-	arena.Reset()
-	chunksAfterFirst := len(arena.chunks)
-	first := recs[0].Data
-	recs2 := decode()
-	if len(arena.chunks) != chunksAfterFirst {
-		t.Fatalf("arena grew across Reset: %d -> %d chunks", chunksAfterFirst, len(arena.chunks))
-	}
-	// The recycled pass carves the same memory: the pre-Reset record now
-	// aliases the new pass's data, which is exactly the documented
-	// invalidation contract.
-	if &first[0] != &recs2[0].Data[0] {
-		t.Error("Reset did not recycle the first chunk")
-	}
-}
-
-// TestArenaAllocationFreeSteadyState: after the first file grows the
-// chunks, repeated decode+Reset cycles allocate nothing in the payload
-// path.
-func TestArenaAllocationFreeSteadyState(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, WriterOptions{})
-	for i := 0; i < 100; i++ {
-		w.WritePacket(t0.Add(time.Duration(i)*time.Millisecond), bytes.Repeat([]byte{1}, 700))
-	}
-	w.Flush()
-	raw := buf.Bytes()
-
-	arena := NewArena()
-	reader := bytes.NewReader(raw)
-	allocs := testing.AllocsPerRun(20, func() {
-		arena.Reset()
-		reader.Reset(raw)
-		r, err := NewReader(reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.SetArena(arena)
-		for {
-			_, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	// NewReader itself allocates (Reader struct, bufio, file header);
-	// the per-record payload path must not. ~100 records per pass would
-	// show up as ≥100 allocs/op if the arena failed to recycle.
-	if allocs > 10 {
-		t.Fatalf("steady-state decode allocates %.0f/op, want ≤10 (arena not recycling)", allocs)
-	}
-}
-
 func TestLabelTagsRoundTrip(t *testing.T) {
 	labels := []Label{{
 		Start: t0, End: t0.Add(time.Minute),

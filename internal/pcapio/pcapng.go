@@ -258,7 +258,7 @@ func (r *Reader) nextNGStream() (Record, error) {
 			continue
 		}
 		// The scratch buffer is overwritten by the next block; hand the
-		// caller an arena-carved copy, as the classic path does.
+		// caller a slab-carved copy, as the classic path does.
 		data := r.alloc(len(rec.Data))
 		copy(data, rec.Data)
 		rec.Data = data

@@ -34,12 +34,9 @@ type JobSpec struct {
 	// RemoveDir deletes CaptureDir when the job finishes; the upload
 	// handler sets it so spooled archives don't accumulate.
 	RemoveDir bool `json:"-"`
-	// Stream and Window select bounded-memory streaming ingestion
-	// (ingest.Options); uploads default to streaming. TwoPass forces the
-	// legacy index+replay shape instead of the single-decode fold pass.
-	Stream  bool `json:"stream,omitempty"`
-	Window  int  `json:"window,omitempty"`
-	TwoPass bool `json:"two_pass,omitempty"`
+	// Stream selects the single-decode fold pass (ingest.Options) over
+	// buffered ingestion; uploads default to streaming.
+	Stream bool `json:"stream,omitempty"`
 	// Strict fails an ingest job whose report skipped anything.
 	Strict bool `json:"strict,omitempty"`
 	// FaultProfile/FaultSeed run a synthesis campaign over an impaired
@@ -89,8 +86,8 @@ func (s JobSpec) validate() error {
 			return err
 		}
 	}
-	if s.Window < 0 || s.Workers < 0 {
-		return fmt.Errorf("service: negative window/workers")
+	if s.Workers < 0 {
+		return fmt.Errorf("service: negative workers")
 	}
 	if s.FleetHomes < 0 || s.FleetHomes > fleet.MaxHomes {
 		return fmt.Errorf("service: fleet size %d out of range [0, %d]", s.FleetHomes, fleet.MaxHomes)
@@ -502,11 +499,7 @@ func (m *Manager) runStudy(ctx context.Context, job *Job) error {
 			defer os.RemoveAll(spec.CaptureDir)
 		}
 		var err error
-		src, err = ingest.Open(spec.CaptureDir, ingest.Options{
-			Stream:  spec.Stream,
-			Window:  spec.Window,
-			TwoPass: spec.TwoPass,
-		})
+		src, err = ingest.Open(spec.CaptureDir, ingest.Options{Stream: spec.Stream})
 		if err != nil {
 			return err
 		}

@@ -286,10 +286,9 @@ func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (*Job, bool) {
 // handleUpload accepts a tar archive of a Mon(IoT)r capture directory
 // (as written by `moniotr -export-captures`; `tar -cf - -C dir .`),
 // spools it under DataDir, and queues a streaming-ingest job over it.
-// Query parameters: stream=0 buffers instead, window=N sets the reorder
-// window, two_pass=1 forces the legacy index+replay streaming shape
-// (default is the single-decode fold pass), strict=1 fails the job if
-// anything is skipped, workers=N bounds analysis parallelism.
+// Query parameters: stream=0 buffers instead of running the
+// single-decode fold pass, strict=1 fails the job if anything is
+// skipped, workers=N bounds analysis parallelism.
 func (s *Server) handleUpload(w http.ResponseWriter, req *http.Request) {
 	if s.cfg.Manager == nil {
 		writeError(w, http.StatusServiceUnavailable, "no job manager")
@@ -300,16 +299,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, req *http.Request) {
 		Origin:    "upload",
 		RemoveDir: true,
 		Stream:    q.Get("stream") != "0",
-		TwoPass:   q.Get("two_pass") == "1",
 		Strict:    q.Get("strict") == "1",
 	}
 	var err error
-	if v := q.Get("window"); v != "" {
-		if spec.Window, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, "bad window: %v", err)
-			return
-		}
-	}
 	if v := q.Get("workers"); v != "" {
 		if spec.Workers, err = strconv.Atoi(v); err != nil {
 			writeError(w, http.StatusBadRequest, "bad workers: %v", err)

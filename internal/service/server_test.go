@@ -260,7 +260,7 @@ func TestUploadQueuesIngestJob(t *testing.T) {
 		"./camera-1/2026-03-01_00.00.00.pcap":   []byte("not a real pcap"),
 		"./camera-1/2026-03-01_00.00.00.labels": []byte("labels"),
 	})
-	resp, err := http.Post(d.http.URL+"/api/upload?stream=1&strict=1&window=64", "application/x-tar", arch)
+	resp, err := http.Post(d.http.URL+"/api/upload?stream=1&strict=1", "application/x-tar", arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +278,18 @@ func TestUploadQueuesIngestJob(t *testing.T) {
 	}
 	job, _ := d.mgr.Get(st.ID)
 	<-job.Done()
-	if spec := job.Spec; !spec.Stream || !spec.Strict || spec.Window != 64 || !spec.RemoveDir {
+	if spec := job.Spec; !spec.Stream || !spec.Strict || !spec.RemoveDir {
 		t.Fatalf("spec = %+v", spec)
+	}
+	// The retired two-pass shape's field is now an unknown field.
+	resp, err = http.Post(d.http.URL+"/api/jobs", "application/json", strings.NewReader(`{"two_pass": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`{"two_pass": true} = %d, want 400`, resp.StatusCode)
 	}
 	if d.reg.Counter("uploads_total").Value() != 1 {
 		t.Fatal("uploads_total not incremented")

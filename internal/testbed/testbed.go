@@ -240,10 +240,11 @@ type Experiment struct {
 	// windows: which activity-like emissions actually happened.
 	IdleEvents []devices.IdleEvent
 	// Release, when non-nil, returns the memory backing Packets to its
-	// owner (streaming ingest recycles decode arenas this way). The final
-	// consumer calls Done exactly once after its last touch of Packets or
-	// their payloads; never calling it is safe — the backing memory is
-	// simply left to the garbage collector.
+	// owner. No in-tree source sets it today; the pipeline and its
+	// collectors still honour the contract. The final consumer calls
+	// Done exactly once after its last touch of Packets or their
+	// payloads; never calling it is safe — the backing memory is simply
+	// left to the garbage collector.
 	Release func()
 }
 

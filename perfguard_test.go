@@ -15,7 +15,7 @@ import (
 // buffered throughput on the tiny export. The acceptance target is 0.90;
 // measured on the reference machine the ratio is ~1.4–1.5 (364 vs
 // 245 MB/s — the fold pass decodes once from a mapping while buffered
-// copies through arenas), so a regression to the floor means the
+// copies every payload into slabs), so a regression to the floor means the
 // single-decode path lost its entire advantage and then some.
 const throughputFloor = 0.90
 

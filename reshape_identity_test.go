@@ -115,7 +115,7 @@ func TestReshapeDeterminism(t *testing.T) {
 	if got := replay(ingest.Options{}); got != want {
 		t.Error("defended buffered replay differs from defended synthesis")
 	}
-	if got := replay(ingest.Options{Stream: true, Window: 8}); got != want {
+	if got := replay(ingest.Options{Stream: true}); got != want {
 		t.Error("defended streamed replay differs from defended synthesis")
 	}
 }

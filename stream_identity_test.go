@@ -9,12 +9,11 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/ml"
 )
 
-// The streaming-ingest guarantee through the public API: replaying an
-// exported campaign through the bounded reorder window — at any window
-// size, including the degenerate window of one — renders every report
-// table byte-identically to the buffer-everything ingest, and the
-// ingestion report (which streaming accumulates during its index pass)
-// matches count for count.
+// The streaming-ingest guarantee through the public API: folding an
+// exported campaign into the pipeline during its one decode pass — at
+// any worker count — renders every report table byte-identically to the
+// buffer-everything ingest, and the ingestion report matches count for
+// count.
 func TestStreamingIngestByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign round trips skipped in -short")
@@ -59,40 +58,18 @@ func TestStreamingIngestByteIdentical(t *testing.T) {
 		t.Errorf("buffered ingest ran %d decode passes, want 1", bufPasses)
 	}
 
-	// Single-decode streaming (the default): the fold path must engage —
-	// exactly one decode pass — and stay byte-identical for any reorder
-	// window (unused by folding, but must be harmless) and worker count.
-	cases := []struct{ window, workers int }{
-		{1, 1}, {8, 2}, {0, 5}, // 0 = DefaultWindow
-	}
-	for _, tc := range cases {
-		got, rep, passes := run(ingest.Options{Stream: true, Window: tc.window}, tc.workers)
+	// Single-decode streaming: the fold path must engage — exactly one
+	// decode pass — and stay byte-identical for any worker count.
+	for _, workers := range []int{1, 2, 5} {
+		got, rep, passes := run(ingest.Options{Stream: true}, workers)
 		if got != buffered {
-			t.Errorf("window=%d workers=%d: single-decode study output differs from buffered ingest",
-				tc.window, tc.workers)
+			t.Errorf("workers=%d: single-decode study output differs from buffered ingest", workers)
 		}
 		if !reflect.DeepEqual(rep, bufRep) {
-			t.Errorf("window=%d workers=%d: single-decode report = %+v, buffered = %+v",
-				tc.window, tc.workers, rep, bufRep)
+			t.Errorf("workers=%d: single-decode report = %+v, buffered = %+v", workers, rep, bufRep)
 		}
 		if passes != 1 {
-			t.Errorf("window=%d workers=%d: single-decode ran %d decode passes, want 1",
-				tc.window, tc.workers, passes)
-		}
-	}
-
-	// Legacy two-pass replay stays available behind Options.TwoPass and
-	// identical too; it decodes three times (index + each leg's replay).
-	for _, workers := range []int{1, 5} {
-		got, rep, passes := run(ingest.Options{Stream: true, Window: 8, TwoPass: true}, workers)
-		if got != buffered {
-			t.Errorf("two-pass workers=%d: streamed study output differs from buffered ingest", workers)
-		}
-		if !reflect.DeepEqual(rep, bufRep) {
-			t.Errorf("two-pass workers=%d: streamed report = %+v, buffered = %+v", workers, rep, bufRep)
-		}
-		if passes != 3 {
-			t.Errorf("two-pass workers=%d: ran %d decode passes, want 3", workers, passes)
+			t.Errorf("workers=%d: single-decode ran %d decode passes, want 1", workers, passes)
 		}
 	}
 }
