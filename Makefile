@@ -29,10 +29,9 @@ race:
 # Focused race gate over the concurrency-heavy packages: the impairment
 # engine (consulted from parallel lab goroutines), the shared cloud
 # model, the campaign runner that fans out across labs, the parallel
-# forest trainer, the sharded collector stage, the ingest decode pool
+# forest trainer, the analysis fold driver, the ingest decode pool
 # and its single-decode fold pass, the fleet runner's bounded-lead home pool folding into
-# shared-seed sketches, and the PII scanners every shard and fold unit
-# share.
+# shared-seed sketches, and the PII scanners every fold unit shares.
 racecore:
 	$(GO) test -race ./internal/faults/... ./internal/cloud/... ./internal/experiments/... \
 		./internal/ml/... ./internal/analysis/... ./internal/ingest/... \
@@ -40,10 +39,8 @@ racecore:
 		./internal/reshape/... ./internal/pii/...
 
 # Benchmark sweep (-run '^$$' skips the test suites): the root table
-# harness — which also refreshes BENCH_pipeline.json with the campaign's
-# stage wall times and throughput — plus the ingest-mode comparison
-# (buffered vs single-decode), the forest-training and
-# collector-stage benchmarks that record the parallel speedup, the
+# harness, the forest-training and collector-stage (Pipeline.Run)
+# benchmarks that record the parallel speedup, the
 # fleet synthesis throughput, the sketch merge/ingest hot paths, the
 # multi-metric entropy family and the PII scan over ciphertext and
 # plaintext payloads.

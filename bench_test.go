@@ -25,7 +25,6 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/entropy"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
-	"github.com/neu-sns/intl-iot-go/internal/ingest"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
 	"github.com/neu-sns/intl-iot-go/internal/mud"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
@@ -55,10 +54,7 @@ func benchConfig() intliot.Config {
 	}
 }
 
-// sharedStudy builds the campaign once, instrumented, and writes the
-// metrics snapshot to BENCH_pipeline.json so successive benchmark runs
-// leave a comparable perf trajectory (stage wall times, experiments/sec,
-// worker utilization, synthesis volume).
+// sharedStudy builds the campaign once.
 func sharedStudy(b *testing.B) *intliot.Study {
 	b.Helper()
 	studyOnce.Do(func() {
@@ -66,109 +62,13 @@ func sharedStudy(b *testing.B) *intliot.Study {
 		if err != nil {
 			panic(err)
 		}
-		reg := intliot.NewMetrics()
-		s.SetObs(reg)
 		s.Run()
 		if err := s.RunUncontrolled(); err != nil {
 			panic(err)
 		}
-		if err := reg.WriteJSONFile("BENCH_pipeline.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: metrics snapshot: %v\n", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "bench: wrote campaign metrics to BENCH_pipeline.json")
-		}
 		study = s
 	})
 	return study
-}
-
-var (
-	captureDirOnce sync.Once
-	captureDir     string
-)
-
-// sharedCaptureDir exports a tiny-scale campaign once, giving the ingest
-// benchmarks a real on-disk capture tree to replay.
-func sharedCaptureDir(b *testing.B) string {
-	b.Helper()
-	captureDirOnce.Do(func() {
-		cfg := intliot.Config{
-			Seed:          1,
-			AutomatedReps: 1,
-			ManualReps:    1,
-			PowerReps:     1,
-			IdleHours:     map[string]float64{"US": 1, "GB": 1, "US->GB": 1, "GB->US": 1},
-			VPN:           true,
-		}
-		s, err := intliot.NewStudy(cfg)
-		if err != nil {
-			panic(err)
-		}
-		dir, err := os.MkdirTemp("", "moniotr-bench-captures")
-		if err != nil {
-			panic(err)
-		}
-		if err := ingest.Export(dir, s.Pipeline().Runner()); err != nil {
-			panic(err)
-		}
-		captureDir = dir
-	})
-	return captureDir
-}
-
-// benchIngest replays the shared capture tree end to end (decode,
-// identify, window-slice, deliver) in the given mode; b.SetBytes turns
-// the result into capture MB/s.
-func benchIngest(b *testing.B, opts ingest.Options) {
-	dir := sharedCaptureDir(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, err := ingest.Open(dir, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.RunControlled(func(*testbed.Experiment) {})
-		src.RunIdle(func(*testbed.Experiment) {})
-		if i == 0 {
-			b.SetBytes(src.Report().Bytes)
-		}
-	}
-}
-
-// BenchmarkIngestBuffered is the buffer-everything baseline: the whole
-// campaign is decoded and held before the first experiment is delivered.
-func BenchmarkIngestBuffered(b *testing.B) {
-	benchIngest(b, ingest.Options{})
-}
-
-// noopFoldSink is the fold-mode analogue of the no-op visitor above: it
-// absorbs experiments without analysis cost, so the benchmark isolates
-// source throughput (decode + sort + run dispatch + merge).
-type noopFoldSink struct{}
-
-type noopFoldUnit struct{}
-
-func (noopFoldUnit) Fold(exp *testbed.Experiment)             { exp.Done() }
-func (noopFoldSink) NewFoldUnit(bool) experiments.FoldUnit    { return noopFoldUnit{} }
-func (noopFoldSink) MergeFoldUnit(bool, experiments.FoldUnit) {}
-
-// BenchmarkIngestSingleDecode replays the capture tree through the
-// single-decode fold pass: memory-mapped reads, one decode total, per-run
-// accumulators merged in campaign order. This is what `-stream` now runs
-// when the consumer supports folding.
-func BenchmarkIngestSingleDecode(b *testing.B) {
-	dir := sharedCaptureDir(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, err := ingest.Open(dir, ingest.Options{Stream: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.RunSingleDecode(noopFoldSink{})
-		if i == 0 {
-			b.SetBytes(src.Report().Bytes)
-		}
-	}
 }
 
 var printedOnce sync.Map

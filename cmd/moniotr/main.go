@@ -79,10 +79,10 @@
 // and under every defense × budget cell, measuring inference F1, idle
 // detections, table drift and byte/latency overhead per cell.
 //
-// -analysis-workers bounds the analysis-side parallelism (sharded
-// collectors, forest training, model evaluation); 0 means one worker per
-// core and 1 forces the historical serial pipeline. Every table is
-// byte-identical for any value — the flag trades wall time only.
+// -analysis-workers bounds the analysis-side parallelism (collector
+// fold workers, forest training, model evaluation); 0 means one worker
+// per core and 1 means one fold worker and serial training. Every table
+// is byte-identical for any value — the flag trades wall time only.
 //
 // With -json the selected tables are written to stdout as one canonical
 // JSON document (the same renderer the moniotrd report API uses, so the
@@ -136,7 +136,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the impairment engine (0 = campaign seed)")
 	strict := flag.Bool("strict", false, "with -ingest: exit non-zero if any capture content was skipped")
 	stream := flag.Bool("stream", false, "with -ingest: fold captures into the analysis as they decode instead of buffering the campaign")
-	analysisWorkers := flag.Int("analysis-workers", 0, "analysis parallelism: 0 = one worker per core, 1 = serial; output is identical for any value")
+	analysisWorkers := flag.Int("analysis-workers", 0, "analysis parallelism (fold workers, training): 0 = one worker per core; output is identical for any value")
 	reshapeStack := flag.String("reshape", "", "apply a traffic-reshaping defense stack (comma-separated: pad, shape, dummy, vpn)")
 	reshapeSeed := flag.Int64("reshape-seed", 0, "seed for the defense engine (0 = campaign seed)")
 	reshapeBudget := flag.Float64("reshape-budget", 0.25, "defense overhead budget in [0, 1]; 0 disables every transform bit-for-bit")

@@ -56,30 +56,32 @@ func TestFleetByteIdentical(t *testing.T) {
 
 // fleetHeapHighWater runs a fleet and samples the forced-GC heap
 // high-water at fold points, the same way the streaming-ingest memory
-// guard does.
+// guard does. It samples at the same five fractional progress points
+// (every total/5 homes) for any fleet size, so fleets of different
+// sizes take their maximum over equally many samples.
 func fleetHeapHighWater(t *testing.T, homes int) uint64 {
 	t.Helper()
 	var ms runtime.MemStats
-	var max uint64
+	var high uint64
 	_, err := fleet.Run(context.Background(), fleet.Config{
 		Homes:   homes,
 		Seed:    7,
 		Workers: 2,
 		Progress: func(done, total int) {
-			if done%10 != 0 && done != total {
+			if step := max(total/5, 1); done%step != 0 && done != total {
 				return
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > max {
-				max = ms.HeapAlloc
+			if ms.HeapAlloc > high {
+				high = ms.HeapAlloc
 			}
 		},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return max
+	return high
 }
 
 // TestFleetHeapSublinear is the ISSUE's memory guard: quadrupling the

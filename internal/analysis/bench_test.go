@@ -5,36 +5,16 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/neu-sns/intl-iot-go/internal/cloud"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
-	"github.com/neu-sns/intl-iot-go/internal/obs"
-	"github.com/neu-sns/intl-iot-go/internal/testbed"
+	"github.com/neu-sns/intl-iot-go/internal/ml"
 )
 
-// replaySource feeds a pre-synthesized experiment list through the Source
-// interface, so collector benchmarks time analysis alone, not synthesis.
-type replaySource struct {
-	internet *cloud.Internet
-	exps     []*testbed.Experiment
-	stats    experiments.Stats
-}
-
-func (s *replaySource) Internet() *cloud.Internet { return s.internet }
-func (s *replaySource) SetObs(*obs.Registry)      {}
-func (s *replaySource) RunIdle(experiments.Visitor) experiments.Stats {
-	return experiments.Stats{}
-}
-func (s *replaySource) RunControlled(visit experiments.Visitor) experiments.Stats {
-	for _, exp := range s.exps {
-		visit(exp)
-	}
-	return s.stats
-}
-
-// BenchmarkCollectorStage measures the controlled collector stage —
-// degrade + dest + enc + content + identify over every experiment —
-// serial vs sharded. Both paths produce byte-identical collector state
-// (TestShardedPipelineMatchesSerial); the pair quantifies the speedup.
+// BenchmarkCollectorStage measures Pipeline.Run — the fold stage's
+// degrade + dest + enc + content + identify over every controlled
+// experiment, then a light training pass — over a campaign synthesized
+// once, on one fold worker and on one per core. Both produce
+// byte-identical collector state (TestFoldPipelineMatchesSerial); the
+// pair quantifies the speedup.
 func BenchmarkCollectorStage(b *testing.B) {
 	r, err := experiments.NewRunner(experiments.Config{
 		Seed: 1, AutomatedReps: 4, ManualReps: 1, PowerReps: 1, VPN: true,
@@ -43,27 +23,20 @@ func BenchmarkCollectorStage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := &replaySource{internet: r.Internet()}
-	src.stats = r.RunControlled(func(exp *testbed.Experiment) {
-		src.exps = append(src.exps, exp)
-	})
+	src := newReplaySource(r)
+	// Few trees and repeats keep training a small share of each run.
+	icfg := InferConfig{CV: ml.CVConfig{
+		TrainFrac: 0.7, Repeats: 2, Seed: 42,
+		Forest: ml.ForestConfig{NumTrees: 5},
+	}}
 
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportMetric(float64(len(src.exps)), "experiments")
+			b.ReportMetric(float64(len(src.ctl)+len(src.idle)), "experiments")
 			for i := 0; i < b.N; i++ {
 				p := NewPipeline(src)
-				if w > 1 {
-					p.runShardedStage("controlled", w, true, src.RunControlled)
-					continue
-				}
-				src.RunControlled(func(exp *testbed.Experiment) {
-					p.degradeExp(exp)
-					p.Dest.Visit(exp)
-					p.Enc.Visit(exp)
-					p.Content.Visit(exp)
-					p.Identify.Visit(exp)
-				})
+				p.Workers = w
+				p.Run(icfg)
 			}
 		})
 	}

@@ -176,9 +176,9 @@ func TestContentCollectorInferSkipsTinyDatasets(t *testing.T) {
 	}
 }
 
-// TestContentShardsShareScanners visits one device from two shards at
-// once: both must use the root collector's scanner cache, which then
-// holds the device's scanner exactly once.
+// TestContentShardsShareScanners folds one device's experiments into two
+// fold units at once: both must use the root collector's scanner cache,
+// which then holds the device's scanner exactly once.
 func TestContentShardsShareScanners(t *testing.T) {
 	us, _, _ := labPair(t)
 	c := NewContentCollector()
@@ -188,16 +188,16 @@ func TestContentShardsShareScanners(t *testing.T) {
 		us.RunPower(slot, false, testbed.StudyEpoch.Add(time.Hour), 1),
 	}
 	var wg sync.WaitGroup
-	for i, exp := range exps {
-		shard := c.newShard()
-		if shard.scanners != c.scanners {
-			t.Fatal("shard has its own scanner cache")
+	for _, exp := range exps {
+		unit := c.newFoldUnit()
+		if unit.scanners != c.scanners {
+			t.Fatal("fold unit has its own scanner cache")
 		}
 		wg.Add(1)
-		go func(seq int64, exp *testbed.Experiment) {
+		go func() {
 			defer wg.Done()
-			shard.visitAt(seq, exp)
-		}(int64(i), exp)
+			unit.Visit(exp)
+		}()
 	}
 	wg.Wait()
 	if n := len(c.scanners.m); n != 1 {

@@ -29,19 +29,14 @@ type ContentCollector struct {
 	// FeatureSet selects the feature family (SetPaper by default).
 	FeatureSet features.Set
 
-	// scanners is shared by the root collector and every shard and fold
-	// unit made from it, so each device instance's scanner is compiled
-	// once per pipeline.
+	// scanners is shared by the root collector and every fold unit made
+	// from it, so each device instance's scanner is compiled once per
+	// pipeline.
 	scanners *scannerCache
-	// pending holds first-seen findings tagged with their discovery
-	// position — the experiment's delivery sequence plus the rank within
-	// that experiment. Findings() sorts by that position before the
-	// global dedup, so shard-parallel visits reproduce the serial
-	// insertion order exactly (ties in the report sort depend on it).
-	pending  []seqFinding
+	// findings lists each distinct finding once, in first-seen order
+	// (ties in the report sort depend on it).
 	findings []PIIFinding
 	findSeen map[PIIFinding]bool
-	autoSeq  int64
 
 	// datasets maps (device instance, column) to its labelled dataset.
 	datasets map[instColKey]*ml.Dataset
@@ -69,12 +64,6 @@ func (sc *scannerCache) get(devID string, corpus *pii.Corpus) *pii.Scanner {
 	return s
 }
 
-type seqFinding struct {
-	seq int64
-	ord int
-	f   PIIFinding
-}
-
 type instColKey struct {
 	Device string // instance ID (lab-qualified)
 	Column string
@@ -99,19 +88,10 @@ func newContentCollector(set features.Set, scanners *scannerCache) *ContentColle
 
 // Visit consumes one experiment: PII scan plus one dataset row.
 func (c *ContentCollector) Visit(exp *testbed.Experiment) {
-	c.visitAt(c.autoSeq, exp)
-	c.autoSeq++
-}
-
-// visitAt is Visit with an explicit delivery sequence number, used by the
-// sharded stage so findings discovered on different workers can be
-// re-interleaved into delivery order afterwards.
-func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	devID := exp.Device.ID()
 	// PII scan over every payload (ciphertext can't match, so scanning
 	// everything is equivalent to scanning plaintext only).
 	sc := c.scanners.get(devID, exp.Device.PII)
-	ord := 0
 	for _, p := range exp.Packets {
 		if len(p.Payload) == 0 {
 			continue
@@ -123,8 +103,7 @@ func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 			}
 			if !c.findSeen[f] {
 				c.findSeen[f] = true
-				c.pending = append(c.pending, seqFinding{seq, ord, f})
-				ord++
+				c.findings = append(c.findings, f)
 			}
 		}
 	}
@@ -149,80 +128,23 @@ func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	ds.Labels = append(ds.Labels, exp.Activity)
 }
 
-// finalize materializes pending findings into c.findings in delivery
-// order. Entries are sorted by (sequence, within-experiment rank) — a
-// total order, since each sequence number belongs to one experiment —
-// then deduplicated first-seen, reproducing exactly the list a serial
-// run builds online. Serial visits enqueue in order already, so their
-// sort is a no-op and the dedup drops nothing.
-func (c *ContentCollector) finalize() {
-	if len(c.pending) == 0 {
-		return
-	}
-	sort.Slice(c.pending, func(i, j int) bool {
-		if c.pending[i].seq != c.pending[j].seq {
-			return c.pending[i].seq < c.pending[j].seq
-		}
-		return c.pending[i].ord < c.pending[j].ord
-	})
-	seen := make(map[PIIFinding]bool, len(c.findings))
-	for _, f := range c.findings {
-		seen[f] = true
-	}
-	for _, sf := range c.pending {
-		if seen[sf.f] {
-			continue
-		}
-		seen[sf.f] = true
-		c.findings = append(c.findings, sf.f)
-	}
-	c.pending = nil
-}
-
-// newShard returns an empty collector with c's feature set, sharing c's
-// scanner cache.
-func (c *ContentCollector) newShard() *ContentCollector {
+// newFoldUnit returns an empty collector with c's feature set, sharing
+// c's scanner cache.
+func (c *ContentCollector) newFoldUnit() *ContentCollector {
 	return newContentCollector(c.FeatureSet, c.scanners)
 }
 
-// merge folds a shard into c. Datasets and metadata are keyed by device
-// instance, which routes to exactly one shard, so their unions are
-// disjoint and dataset row order matches serial delivery. Pending
-// findings concatenate and are re-interleaved by finalize.
-func (c *ContentCollector) merge(o *ContentCollector) {
-	c.pending = append(c.pending, o.pending...)
-	for f := range o.findSeen {
-		c.findSeen[f] = true
-	}
-	if n := len(o.pending); n > 0 {
-		if last := o.pending[n-1].seq + 1; last > c.autoSeq {
-			c.autoSeq = last
+// mergeFold folds a unit into c. Units merge in delivery order, so
+// appending the unit's first-seen findings that c has not seen yet, and
+// its dataset rows, reproduces the lists a serial visit builds. Dataset
+// rows append rather than replace: one instance's rows span every unit
+// of its runs.
+func (c *ContentCollector) mergeFold(o *ContentCollector) {
+	for _, f := range o.findings {
+		if !c.findSeen[f] {
+			c.findSeen[f] = true
+			c.findings = append(c.findings, f)
 		}
-	}
-	for k, ds := range o.datasets {
-		c.datasets[k] = ds
-		c.devCategory[k] = o.devCategory[k]
-		c.devCommon[k] = o.devCommon[k]
-		c.devName[k] = o.devName[k]
-	}
-}
-
-// mergeFold folds a single-decode unit into c. Unlike shard merges,
-// unit sequence numbers are unit-local (0..count-1): base — the number
-// of controlled experiments merged before this unit in campaign order —
-// rebases them onto the global delivery sequence, reproducing the seqs
-// a serial run would have assigned. Dataset rows append rather than
-// replace: one instance's rows span every unit of its files.
-func (c *ContentCollector) mergeFold(o *ContentCollector, base, count int64) {
-	for _, sf := range o.pending {
-		sf.seq += base
-		c.pending = append(c.pending, sf)
-	}
-	for f := range o.findSeen {
-		c.findSeen[f] = true
-	}
-	if base+count > c.autoSeq {
-		c.autoSeq = base + count
 	}
 	for k, ds := range o.datasets {
 		cur := c.datasets[k]
@@ -240,7 +162,6 @@ func (c *ContentCollector) mergeFold(o *ContentCollector, base, count int64) {
 
 // Findings returns the deduplicated PII exposures sorted by device.
 func (c *ContentCollector) Findings() []PIIFinding {
-	c.finalize()
 	out := append([]PIIFinding(nil), c.findings...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Device != out[j].Device {
@@ -340,6 +261,37 @@ func (c *ContentCollector) Infer(cfg InferConfig) []InferenceResult {
 		return nil
 	}
 	return out
+}
+
+// parallelFor runs fn(i) for i in [0, n) on at most workers goroutines;
+// with one worker it degenerates to a plain loop. Determinism is the
+// caller's contract: fn(i) writes only to slot i of pre-sized outputs.
+func parallelFor(n, workers int, fn func(int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 // InferrableDevicesByCategory returns Table 9: per (category, column) the

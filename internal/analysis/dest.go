@@ -38,20 +38,13 @@ type DestCollector struct {
 	// OnDestination, when set, observes every labelled non-LAN flow as it
 	// is recorded: the fleet runner taps it on its standalone per-home
 	// collectors to feed sketch aggregates without buffering flows. The
-	// shards and fold units a Pipeline spawns never call it.
+	// fold units a Pipeline spawns never call it.
 	OnDestination func(exp *testbed.Experiment, d Destination, port uint16, wireBytes int64)
 
-	// parent is set on shard collectors (newShard): state accumulated in
-	// earlier stages is read through it — DNS maps copy-on-write per
-	// device, geo lookups read-through — so a shard resumes exactly where
-	// the merged collector left off. The parent is never written while
-	// shards run.
-	parent *DestCollector
-
-	// foldMode marks a single-decode fold unit (newFoldUnit). A fold unit
-	// sees one contiguous run of the campaign with no parent to consult,
-	// so a flow whose address misses the unit-local DNS replay cannot be
-	// labelled yet — an earlier file's answer may exist. Such flows are
+	// foldMode marks a fold unit (newFoldUnit). A fold unit sees one
+	// contiguous run of the campaign and none of the state before it, so
+	// a flow whose address misses the unit-local DNS replay cannot be
+	// labelled yet — an earlier run's answer may exist. Such flows are
 	// deferred into pending with everything labelling needs except the
 	// name, and resolved by mergeFold against the DNS state accumulated
 	// in campaign order — exactly the map a serial visit would have seen.
@@ -182,15 +175,6 @@ func (c *DestCollector) Visit(exp *testbed.Experiment) {
 	dnsMap := c.ipDomains[devID]
 	if dnsMap == nil {
 		dnsMap = make(map[netip.Addr]string)
-		// A shard's first visit of a device inherits the DNS replay cache
-		// the previous stage accumulated, as a copy: cross-stage lookups
-		// behave exactly as in a serial run, while the parent map stays
-		// untouched for concurrent readers on other shards.
-		if c.parent != nil {
-			for a, n := range c.parent.ipDomains[devID] {
-				dnsMap[a] = n
-			}
-		}
 		c.ipDomains[devID] = dnsMap
 	}
 	// Pass 1: replay DNS answers.
@@ -232,7 +216,7 @@ func (c *DestCollector) Visit(exp *testbed.Experiment) {
 			// resolved; skip resolver-only flows to the gateway.
 		}
 		if c.foldMode && dnsMap[addr] == "" {
-			// An earlier file in campaign order may have resolved this
+			// An earlier run in delivery order may have resolved this
 			// address; defer labelling to mergeFold. The run-local hit
 			// path needs no deferral: a unit-prefix answer is exactly
 			// what a serial visit would use (latest answer wins, and the
@@ -328,15 +312,6 @@ func (c *DestCollector) country(addr netip.Addr, egress string) string {
 	if v, ok := c.geoCache[key]; ok {
 		return v
 	}
-	// The geo cache memoizes a pure function of (egress, addr), so a
-	// shard can read the parent's entries without copying: any shard that
-	// misses recomputes the identical value.
-	if c.parent != nil {
-		if v, ok := c.parent.geoCache[key]; ok {
-			c.geoCache[key] = v
-			return v
-		}
-	}
 	country := ""
 	if loc, ok := c.Locators[egress]; ok {
 		if res, err := loc.Locate(addr); err == nil {
@@ -399,29 +374,23 @@ func (c *DestCollector) record(m *destExpMeta, d Destination, bytes int) {
 	}
 }
 
-// newShard returns an empty collector sharing c's immutable inputs
-// (registry, locators) that reads c's caches through the parent link.
-func (c *DestCollector) newShard() *DestCollector {
-	s := NewDestCollector(c.Registry, c.Locators)
-	s.parent = c
-	return s
-}
-
-// newFoldUnit returns an empty fold-mode collector. Unlike a shard it
-// has no parent: fold units run before any earlier state is merged, so
-// instead of inheriting DNS caches they defer unresolved flows (see
-// foldMode) and mergeFold resolves them in campaign order.
+// newFoldUnit returns an empty fold-mode collector sharing c's
+// immutable inputs (registry, locators). Fold units run before the
+// state of earlier runs is merged, so instead of inheriting DNS caches
+// they defer unresolved flows (see foldMode) and mergeFold resolves them
+// in delivery order.
 func (c *DestCollector) newFoldUnit() *DestCollector {
 	s := NewDestCollector(c.Registry, c.Locators)
 	s.foldMode = true
 	return s
 }
 
-// mergeFold folds a single-decode unit into c, in campaign order:
-// resolve the unit's deferred flows against the DNS state of all earlier
-// units, then overlay the unit's own answers address by address (the
-// unit map covers only its run, so the shard merge's whole-map
-// replacement would lose earlier answers).
+// mergeFold folds a unit into c, in delivery order: resolve the unit's
+// deferred flows against the DNS state of all earlier units, then
+// overlay the unit's own answers address by address (the unit map
+// covers only its run, so replacing the whole map would lose earlier
+// answers). The remaining accumulators are memoized caches, set unions
+// and integer sums.
 func (c *DestCollector) mergeFold(o *DestCollector) {
 	for i := range o.pending {
 		pf := &o.pending[i]
@@ -445,41 +414,6 @@ func (c *DestCollector) mergeFold(o *DestCollector) {
 		}
 	}
 	o.ipDomains = nil
-	c.mergeShared(o)
-}
-
-// mergeStringSet unions src's set values into dst.
-func mergeStringSet[K comparable](dst, src map[K]map[string]bool) {
-	for k, set := range src {
-		d := dst[k]
-		if d == nil {
-			dst[k] = set
-			continue
-		}
-		for s := range set {
-			d[s] = true
-		}
-	}
-}
-
-// merge folds a shard's accumulators into c. Every operation commutes —
-// set union, integer addition, or replacement of a per-device map that
-// only one shard can own (experiments route by device) — so the merged
-// state is identical for any shard count and merge order, which is what
-// keeps the parallel pipeline's tables byte-identical to a serial run.
-func (c *DestCollector) merge(o *DestCollector) {
-	for dev, m := range o.ipDomains {
-		// The shard's map is a superset of the parent's (copy-on-write at
-		// first visit), and device affinity means no other shard touched
-		// this device: replacement is exact.
-		c.ipDomains[dev] = m
-	}
-	c.mergeShared(o)
-}
-
-// mergeShared folds the accumulators whose merge rule is common to shard
-// and fold merges: memoized caches, set unions and integer sums.
-func (c *DestCollector) mergeShared(o *DestCollector) {
 	for k, v := range o.geoCache {
 		// Memoized pure function: duplicate keys carry identical values.
 		c.geoCache[k] = v
@@ -499,6 +433,20 @@ func (c *DestCollector) mergeShared(o *DestCollector) {
 			continue
 		}
 		mergeStringSet(c.partyTotals[col], parties)
+	}
+}
+
+// mergeStringSet unions src's set values into dst.
+func mergeStringSet[K comparable](dst, src map[K]map[string]bool) {
+	for k, set := range src {
+		d := dst[k]
+		if d == nil {
+			dst[k] = set
+			continue
+		}
+		for s := range set {
+			d[s] = true
+		}
 	}
 }
 

@@ -7,11 +7,11 @@
 // Every collector consumes experiments in a streaming fashion via its
 // Visit method, so the full campaign never needs to be held in memory.
 //
-// With Pipeline.Workers > 1 the collector stages run sharded: each
-// worker owns a private set of collectors, experiments route to workers
-// by device affinity, and the shards merge back deterministically when
-// the stage drains (see shard.go). Model training and evaluation fan
-// out per tree, per fold and per device. Every table, model and
-// detection is byte-identical to the serial pipeline for any worker
-// count — parallelism trades wall time only.
+// Pipeline.Run delivers every source the same way: contiguous runs of
+// experiments fold into private fold units on Pipeline.Workers
+// goroutines and merge back in delivery order (see fold.go). Model
+// training and evaluation fan out per tree, per fold and per device.
+// Every table, model and detection is byte-identical to visiting the
+// campaign serially, for any worker count — parallelism trades wall
+// time only.
 package analysis

@@ -54,8 +54,8 @@ type EncCollector struct {
 
 	// OnFlow, when set, observes every classified non-LAN flow: the fleet
 	// runner taps it on its standalone per-home collectors to fold
-	// encryption volumes into its aggregate without buffering. The shards
-	// and fold units a Pipeline spawns never call it.
+	// encryption volumes into its aggregate without buffering. The fold
+	// units a Pipeline spawns never call it.
 	OnFlow func(exp *testbed.Experiment, class EncClass, wireBytes int64)
 
 	// byte counters
@@ -225,20 +225,19 @@ func (c *EncCollector) Visit(exp *testbed.Experiment) {
 	}
 }
 
-// newShard returns an empty collector with c's thresholds.
-func (c *EncCollector) newShard() *EncCollector {
+// newFoldUnit returns an empty collector with c's thresholds.
+func (c *EncCollector) newFoldUnit() *EncCollector {
 	s := NewEncCollector()
 	s.Thresholds = c.Thresholds
 	return s
 }
 
-// merge folds a shard's accumulators into c. Byte counters add, device
-// sets union, metadata rewrites with identical values — all commutative.
-// The one order-sensitive structure, devSamples (float slices feeding
-// Welch t-tests), is keyed by (device model, column, label): experiments
-// route to shards by device, so each key lives on exactly one shard and
-// appending the shard's slice reproduces the serial append order.
-func (c *EncCollector) merge(o *EncCollector) {
+// mergeFold folds a unit's accumulators into c. Byte counters add,
+// device sets union, metadata rewrites. The one order-sensitive
+// structure, devSamples (float slices feeding Welch t-tests), appends
+// the unit's samples; units merge in delivery order, so every slice
+// keeps the serial append order.
+func (c *EncCollector) mergeFold(o *EncCollector) {
 	for k, v := range o.devBytes {
 		cur := c.devBytes[k]
 		for i := range cur {
@@ -284,8 +283,8 @@ func (c *EncCollector) merge(o *EncCollector) {
 		c.devName[k] = v
 	}
 	for k, v := range o.devLab {
-		// Informational only (never read back); shard order decides ties
-		// for common models deployed in both labs.
+		// Informational only (never read back); as in a serial visit the
+		// last lab seen wins for common models deployed in both labs.
 		c.devLab[k] = v
 	}
 	for t, set := range o.expDevices {

@@ -1,41 +1,47 @@
 package analysis
 
 import (
+	"sync"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
+	"github.com/neu-sns/intl-iot-go/internal/obs"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
-// Single-decode streaming support.
+// Fold delivery: the one way experiments reach the pipeline's collectors.
 //
-// A Source that also implements singleDecodeSource can push the whole
-// campaign through the pipeline during its one decode pass instead of
-// buffering it for a serial replay. Experiments arrive out of
-// campaign order — whichever file a decode worker finishes first — so
-// the collectors absorb them through the fold contract
-// (internal/experiments.FoldSink): each contiguous run of a leg folds
-// into a private accumulator on the worker that decoded it, and the
-// accumulators merge serially in campaign order afterwards. Every
-// table stays byte-identical to the buffered serial pipeline because
+// Every source is folded through the experiments.FoldSink contract. Each
+// contiguous run of a leg folds into a fold unit — a private set of empty
+// collectors — on one worker goroutine, and the units merge into the
+// pipeline's collectors serially, in delivery order, controlled leg
+// first. Two drivers produce the units: a singleDecodeSource
+// (internal/ingest in streaming mode) folds during its one decode pass,
+// and foldReplay folds any other source from its RunControlled/RunIdle
+// stream. Every table stays byte-identical to visiting the same stream
+// serially through the public Visit methods, because
 //
-//   - device-local, order-sensitive state (DNS replay caches, Welch
-//     samples, idle hours) sees the serial order within each run, and
-//     runs merge in the serial order;
+//   - a unit receives a contiguous slice of the delivery order, in
+//     order, so device-local order-sensitive state (Welch-test samples,
+//     DNS replay within the run) sees exactly the serial order;
+//   - units merge in delivery order, so the order-sensitive cross-device
+//     structures (PII finding insertion order, identification and
+//     activity dataset rows, idle captures) append in the serial order,
+//     and everything else is an integer sum, a set union or a memoized
+//     pure function;
 //   - cross-run DNS label resolution is deferred: a fold unit that
 //     cannot resolve an address against its own run's answers parks the
 //     flow, and mergeFold resolves it against exactly the answers a
 //     serial replay would have seen (dest.go);
-//   - sequence-tagged rows (PII findings, identification rows) carry
-//     unit-local sequences that MergeFoldUnit rebases onto the global
-//     campaign sequence;
 //   - idle-leg detection needs models that only exist after the
 //     controlled leg trains, so fold units capture each idle
 //     experiment's traffic units (segmented and vectorized exactly as
-//     Detector.VisitIdle would) and replayIdleDetections re-runs the
-//     classification in campaign order once the models exist.
+//     Detector.VisitIdle would) and replayIdleDetections classifies them
+//     in delivery order once the models exist.
+//
+// The controlled leg merges completely before training starts.
 type singleDecodeSource interface {
 	Source
 	// SingleDecode reports whether the source can still run a fold pass
@@ -47,30 +53,57 @@ type singleDecodeSource interface {
 	RunSingleDecode(experiments.FoldSink) (ctl, idle experiments.Stats)
 }
 
+// Collector steps a fold unit times, indexing stepNames: the
+// collector_visits.<name> and collector_visit_ns.<name> suffixes. The
+// idle leg's detector step is segmentation and vectorization; the
+// classification itself runs under the stage:idle span.
+const (
+	stepDegrade = iota
+	stepDest
+	stepEnc
+	stepContent
+	stepIdentify
+	stepDetector
+	numSteps
+)
+
+var stepNames = [numSteps]string{"degrade", "dest", "enc", "content", "identify", "detector"}
+
 // foldSink adapts the pipeline's collectors to the fold contract.
-// MergeFoldUnit is called serially (contract), so the running global
-// sequence and the idle capture list need no locking.
+// MergeFoldUnit is called serially (contract), so the idle capture list
+// needs no locking.
 type foldSink struct {
 	p *Pipeline
-	// ctlSeq is the global controlled-leg delivery sequence: the number
-	// of controlled experiments merged so far. Unit-local row sequences
-	// rebase onto it.
-	ctlSeq int64
-	// idle accumulates captured idle experiments in campaign order for
+	// idle accumulates captured idle experiments in delivery order for
 	// post-training detection replay.
-	idle []idleFoldExp
+	idle []idleExp
+	// visits and ns are the collector timing counters, resolved once;
+	// both are nil without a registry.
+	visits, ns [numSteps]*obs.Counter
+}
+
+func newFoldSink(p *Pipeline) *foldSink {
+	s := &foldSink{p: p}
+	if p.metrics != nil {
+		for i, name := range stepNames {
+			s.visits[i] = p.metrics.Counter("collector_visits." + name)
+			s.ns[i] = p.metrics.Counter("collector_visit_ns." + name)
+		}
+	}
+	return s
 }
 
 func (s *foldSink) NewFoldUnit(controlled bool) experiments.FoldUnit {
 	u := &foldUnit{
 		p:          s.p,
 		controlled: controlled,
+		timed:      s.p.metrics != nil,
 		dest:       s.p.Dest.newFoldUnit(),
-		enc:        s.p.Enc.newShard(),
+		enc:        s.p.Enc.newFoldUnit(),
 	}
 	if controlled {
-		u.content = s.p.Content.newShard()
-		u.identify = s.p.Identify.newShard()
+		u.content = s.p.Content.newFoldUnit()
+		u.identify = s.p.Identify.newFoldUnit()
 	}
 	return u
 }
@@ -79,31 +112,36 @@ func (s *foldSink) MergeFoldUnit(controlled bool, unit experiments.FoldUnit) {
 	u := unit.(*foldUnit)
 	p := s.p
 	p.Dest.mergeFold(u.dest)
-	p.Enc.merge(u.enc)
+	p.Enc.mergeFold(u.enc)
 	if controlled {
-		p.Content.mergeFold(u.content, s.ctlSeq, u.count)
-		p.Identify.mergeFold(u.identify, s.ctlSeq, u.count)
-		s.ctlSeq += u.count
+		p.Content.mergeFold(u.content)
+		p.Identify.mergeFold(u.identify)
 	} else {
 		s.idle = append(s.idle, u.idle...)
+	}
+	for i := range stepNames {
+		s.visits[i].Add(u.visits[i])
+		s.ns[i].Add(u.ns[i])
 	}
 }
 
 // foldUnit accumulates one contiguous run of a leg. It is goroutine-
-// confined by the fold contract, so the collectors inside need no
-// synchronization beyond what shard collectors already have.
+// confined by the fold contract; the only state it shares is the
+// content collector's scanner cache, which locks itself.
 type foldUnit struct {
 	p          *Pipeline
 	controlled bool
-	// count is the number of experiments folded; doubles as the
-	// unit-local delivery sequence for visitAt.
-	count    int64
-	dest     *DestCollector
-	enc      *EncCollector
-	content  *ContentCollector
-	identify *IdentifyCollector
+	dest       *DestCollector
+	enc        *EncCollector
+	content    *ContentCollector
+	identify   *IdentifyCollector
 	// idle captures idle experiments for post-training replay.
-	idle []idleFoldExp
+	idle []idleExp
+	// visits and ns tally the unit's collector calls per step until the
+	// merge flushes them. With timed false (no registry) Fold reads no
+	// clock at all.
+	timed      bool
+	visits, ns [numSteps]int64
 }
 
 func (u *foldUnit) Fold(exp *testbed.Experiment) {
@@ -111,137 +149,141 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 		exp.Done()
 		return
 	}
+	var t time.Time
+	if u.timed {
+		t = time.Now()
+	}
 	u.p.degradeExp(exp)
+	t = u.lap(stepDegrade, t)
 	u.dest.Visit(exp)
+	t = u.lap(stepDest, t)
 	u.enc.Visit(exp)
+	t = u.lap(stepEnc, t)
 	if u.controlled {
-		u.content.visitAt(u.count, exp)
-		u.identify.visitAt(u.count, exp)
+		u.content.Visit(exp)
+		t = u.lap(stepContent, t)
+		u.identify.Visit(exp)
+		u.lap(stepIdentify, t)
 	} else {
-		u.captureIdle(exp)
+		// The gap and feature set are the ones NewDetector configures.
+		// Every unit is vectorized, even ones the MinUnitPackets filter
+		// will drop: the packets are gone after this fold.
+		u.idle = append(u.idle, segmentIdle(exp, features.DefaultUnitGap, u.p.Content.FeatureSet, 0))
+		u.lap(stepDetector, t)
 	}
 	// The flow scratches would pin this experiment's packets until merge.
 	u.dest.scratch, u.enc.scratch = netx.FlowScratch{}, netx.FlowScratch{}
-	u.count++
 	exp.Done()
 }
 
-// idleFoldExp is one idle experiment reduced to what detection replay
-// needs: identity, wall-clock extent, and its traffic units already
-// segmented and vectorized from the degraded packets.
-type idleFoldExp struct {
-	devID, devName, column string
-	start, end             time.Time
-	units                  []idleFoldUnit
-}
-
-type idleFoldUnit struct {
-	packets    int
-	start, end time.Time
-	vec        []float64
-}
-
-// captureIdle records the experiment for replayIdleDetections. The gap
-// and feature set must match what NewDetector will configure —
-// features.DefaultUnitGap and the content collector's feature set —
-// so the vectors are exactly the ones Detector.VisitIdle would compute.
-// Vectors are computed for every unit, even ones the MinUnitPackets
-// filter will later drop: the detector's thresholds are unknown until
-// training finishes, and the packets are gone after this fold.
-func (u *foldUnit) captureIdle(exp *testbed.Experiment) {
-	ie := idleFoldExp{
-		devID:   exp.Device.ID(),
-		devName: exp.Device.Profile.Name,
-		column:  exp.Column,
-		start:   exp.Start,
-		end:     exp.End,
+// lap attributes the time since t0 to step and returns the next lap's
+// start. Untimed units return t0 unread.
+func (u *foldUnit) lap(step int, t0 time.Time) time.Time {
+	if !u.timed {
+		return t0
 	}
-	fs := u.p.Content.FeatureSet
-	for _, unit := range features.Segment(exp.Packets, features.DefaultUnitGap) {
-		ie.units = append(ie.units, idleFoldUnit{
-			packets: len(unit.Packets),
-			start:   unit.Start,
-			end:     unit.End,
-			vec:     features.Vector(unit.Packets, fs),
+	now := time.Now()
+	u.ns[step] += int64(now.Sub(t0))
+	u.visits[step]++
+	return now
+}
+
+// foldQueueDepth bounds the experiments queued ahead of a run's worker,
+// so memory stays proportional to workers when delivery outruns analysis.
+const foldQueueDepth = 64
+
+// foldRun is one contiguous run of a delivered leg on its way through a
+// worker to the merge.
+type foldRun struct {
+	controlled bool
+	unit       experiments.FoldUnit
+	exps       chan *testbed.Experiment
+	done       chan struct{}
+}
+
+// foldReplay folds a plain source through sink: RunControlled, then
+// RunIdle unless the pipeline was cancelled meanwhile. A new run starts
+// whenever the delivered experiment's device instance or VPN flag
+// changes — the run rule of the ingest fold pass — and each run folds on
+// one of workers goroutines. A merger goroutine merges finished runs in
+// delivery order, controlled leg first, while later runs still fold; at
+// most 2×workers+1 runs are pending, so memory does not grow with the
+// campaign. The returned statistics are exactly the source's.
+func (p *Pipeline) foldReplay(sink experiments.FoldSink, workers int) (ctl, idle experiments.Stats) {
+	work := make(chan *foldRun)
+	order := make(chan *foldRun, 2*workers)
+	var folding sync.WaitGroup
+	folding.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer folding.Done()
+			for r := range work {
+				for exp := range r.exps {
+					r.unit.Fold(exp)
+				}
+				close(r.done)
+			}
+		}()
+	}
+	merged := make(chan struct{})
+	go func() {
+		defer close(merged)
+		for r := range order {
+			<-r.done
+			sink.MergeFoldUnit(r.controlled, r.unit)
+		}
+	}()
+
+	leg := func(controlled bool, run func(experiments.Visitor) experiments.Stats) experiments.Stats {
+		var (
+			cur *foldRun
+			dev string
+			vpn bool
+		)
+		stats := run(func(exp *testbed.Experiment) {
+			if p.canceled() {
+				exp.Done()
+				return
+			}
+			if id := exp.Device.ID(); cur == nil || id != dev || exp.VPN != vpn {
+				if cur != nil {
+					close(cur.exps)
+				}
+				cur = &foldRun{
+					controlled: controlled,
+					unit:       sink.NewFoldUnit(controlled),
+					exps:       make(chan *testbed.Experiment, foldQueueDepth),
+					done:       make(chan struct{}),
+				}
+				dev, vpn = id, exp.VPN
+				order <- cur
+				work <- cur
+			}
+			cur.exps <- exp
 		})
+		if cur != nil {
+			close(cur.exps)
+		}
+		return stats
 	}
-	u.idle = append(u.idle, ie)
+	ctl = leg(true, p.Source.RunControlled)
+	if !p.canceled() {
+		idle = leg(false, p.Source.RunIdle)
+	}
+	close(work)
+	close(order)
+	folding.Wait()
+	<-merged
+	return ctl, idle
 }
 
-// replayIdleDetections re-runs Detector.visitIdleAt's logic over the
-// captured idle experiments, in campaign order, mirroring its
-// accounting exactly: the model lookup gates all accounting, hours and
-// unit totals accrue per experiment, and detections append directly in
-// replay order (which is campaign order, the serial order).
-func (p *Pipeline) replayIdleDetections(idle []idleFoldExp) {
-	d := p.Detector
-	res := p.IdleHits
+// replayIdleDetections classifies the captured idle experiments in
+// delivery order, the order a serial VisitIdle loop would see.
+func (p *Pipeline) replayIdleDetections(idle []idleExp) {
 	for i := range idle {
 		if p.canceled() {
 			return
 		}
-		ie := &idle[i]
-		model, ok := d.models[instColKey{ie.devID, ie.column}]
-		if !ok {
-			continue
-		}
-		if res.deviceHours[ie.column] == nil {
-			res.deviceHours[ie.column] = map[string]float64{}
-		}
-		res.deviceHours[ie.column][ie.devID] += ie.end.Sub(ie.start).Hours()
-		if h := res.deviceHours[ie.column][ie.devID]; h > res.Hours[ie.column] {
-			res.Hours[ie.column] = h
-		}
-		us := res.Units[ie.column]
-		if us == nil {
-			us = &unitStats{}
-			res.Units[ie.column] = us
-		}
-		for _, u := range ie.units {
-			us.Total++
-			if u.packets < d.MinUnitPackets {
-				continue
-			}
-			label, vote := model.forest.PredictTop(u.vec)
-			if vote < d.MinVote || !model.withinEnvelope(label, u.vec) {
-				continue
-			}
-			us.Classified++
-			res.Detections = append(res.Detections, Detection{
-				DeviceID: ie.devID, DeviceName: ie.devName,
-				Column: ie.column, Activity: label,
-				Start: u.start, End: u.end,
-			})
-			res.Counts[DetectKey{ie.devName, label, ie.column}]++
-		}
+		p.Detector.classifyIdle(&idle[i], p.IdleHits)
 	}
-}
-
-// runSingleDecode is Run's body when the source folds the campaign in
-// its decode pass. Both legs decode in one pass (capture files carry
-// controlled and idle windows side by side), so the controlled/idle
-// stage split collapses into fold + train + idle-replay.
-func (p *Pipeline) runSingleDecode(src singleDecodeSource, cfg InferConfig) {
-	sink := &foldSink{p: p}
-	span := p.metrics.StartSpan("stage:fold")
-	p.Stats, p.IdleStats = src.RunSingleDecode(sink)
-	span.End()
-	if p.abortIfCanceled() {
-		return
-	}
-
-	span = p.metrics.StartSpan("stage:train")
-	p.metrics.SetLabel("stage", "train")
-	p.Inference = p.Content.Infer(cfg)
-	p.Detector = NewDetector(p.Content, p.Inference, cfg)
-	span.End()
-	if p.abortIfCanceled() {
-		return
-	}
-
-	p.IdleHits = NewDetectResult()
-	span = p.metrics.StartSpan("stage:idle")
-	p.replayIdleDetections(sink.idle)
-	span.End()
-	p.abortIfCanceled()
 }

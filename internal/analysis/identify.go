@@ -24,14 +24,10 @@ type IdentifyCollector struct {
 	// FeatureSet must match the activity models for comparability.
 	FeatureSet features.Set
 
-	// rows buffers one entry per training experiment, tagged with its
-	// delivery sequence. The per-column datasets interleave rows from
-	// every device, so — unlike the device-keyed collectors — their row
-	// order cannot be reconstructed shard-locally; build sorts the rows
-	// by sequence instead, which reproduces the serial append order for
-	// any shard count (serial visits number 0,1,2,… already).
-	rows    []identRow
-	autoSeq int64
+	// rows buffers one entry per training experiment in delivery order;
+	// the per-column datasets interleave rows from every device in that
+	// order.
+	rows []identRow
 
 	// built lazily from rows; also evaluates a category-level classifier.
 	datasets map[string]*ml.Dataset // column → global dataset
@@ -40,7 +36,6 @@ type IdentifyCollector struct {
 }
 
 type identRow struct {
-	seq      int64
 	column   string
 	device   string
 	category string
@@ -58,12 +53,6 @@ func NewIdentifyCollector() *IdentifyCollector {
 
 // Visit adds one experiment as a (traffic → device) training row.
 func (c *IdentifyCollector) Visit(exp *testbed.Experiment) {
-	c.visitAt(c.autoSeq, exp)
-	c.autoSeq++
-}
-
-// visitAt is Visit with an explicit delivery sequence, for sharded runs.
-func (c *IdentifyCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	if exp.Kind != testbed.KindPower && exp.Kind != testbed.KindInteraction {
 		return
 	}
@@ -71,7 +60,6 @@ func (c *IdentifyCollector) visitAt(seq int64, exp *testbed.Experiment) {
 		return
 	}
 	c.rows = append(c.rows, identRow{
-		seq:      seq,
 		column:   exp.Column,
 		device:   exp.Device.Profile.Name,
 		category: string(exp.Device.Profile.Category),
@@ -80,37 +68,17 @@ func (c *IdentifyCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	c.built = false
 }
 
-// newShard returns an empty collector with c's feature set.
-func (c *IdentifyCollector) newShard() *IdentifyCollector {
+// newFoldUnit returns an empty collector with c's feature set.
+func (c *IdentifyCollector) newFoldUnit() *IdentifyCollector {
 	s := NewIdentifyCollector()
 	s.FeatureSet = c.FeatureSet
 	return s
 }
 
-// merge appends a shard's rows; build re-sorts by sequence, so merge
-// order cannot affect the datasets.
-func (c *IdentifyCollector) merge(o *IdentifyCollector) {
+// mergeFold appends a unit's rows. Units merge in delivery order, so the
+// rows stay in the order a serial visit appends them.
+func (c *IdentifyCollector) mergeFold(o *IdentifyCollector) {
 	c.rows = append(c.rows, o.rows...)
-	c.built = false
-	if n := len(o.rows); n > 0 {
-		if last := o.rows[n-1].seq + 1; last > c.autoSeq {
-			c.autoSeq = last
-		}
-	}
-}
-
-// mergeFold folds a single-decode unit's rows into c, rebasing the
-// unit-local sequence numbers (0..count-1) by base — the number of
-// controlled experiments merged before this unit — so build's sort
-// reproduces serial delivery order.
-func (c *IdentifyCollector) mergeFold(o *IdentifyCollector, base, count int64) {
-	for _, r := range o.rows {
-		r.seq += base
-		c.rows = append(c.rows, r)
-	}
-	if base+count > c.autoSeq {
-		c.autoSeq = base + count
-	}
 	c.built = false
 }
 
@@ -120,7 +88,6 @@ func (c *IdentifyCollector) build() {
 	if c.built {
 		return
 	}
-	sort.Slice(c.rows, func(i, j int) bool { return c.rows[i].seq < c.rows[j].seq })
 	c.datasets = make(map[string]*ml.Dataset)
 	c.category = make(map[string]*ml.Dataset)
 	for _, row := range c.rows {

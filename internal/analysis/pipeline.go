@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"context"
-	"time"
+	"runtime"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/geo"
@@ -22,16 +22,12 @@ type Pipeline struct {
 	Content  *ContentCollector
 	Identify *IdentifyCollector
 
-	// Workers bounds the analysis-side parallelism: the sharded collector
-	// stage (shard.go) and model training/evaluation. 0 means GOMAXPROCS,
-	// 1 forces the serial pipeline. Every table, model and detection is
-	// byte-identical for any value.
+	// Workers bounds the analysis-side parallelism: the goroutines that
+	// fold runs of experiments into fold units (fold.go) and model
+	// training/evaluation. 0 means GOMAXPROCS; 1 folds on one worker and
+	// trains serially. Every table, model and detection is byte-identical
+	// for any value.
 	Workers int
-
-	// assign pins each device instance to one shard across stages
-	// (device affinity); nextShard round-robins first sightings.
-	assign    map[string]int
-	nextShard int
 
 	// Filled by Run:
 	Stats     experiments.Stats
@@ -67,8 +63,8 @@ func (p *Pipeline) SetContext(ctx context.Context) { p.ctx = ctx }
 func (p *Pipeline) Aborted() bool { return p.aborted }
 
 // canceled reports whether the attached context has been cancelled. It
-// is consulted on every experiment visit, from shard workers too; ctx
-// is written once before Run, so the concurrent reads are safe.
+// is consulted on every experiment visit, from fold workers too; ctx is
+// written once before Run, so the concurrent reads are safe.
 func (p *Pipeline) canceled() bool { return p.ctx != nil && p.ctx.Err() != nil }
 
 // abortIfCanceled latches the abort flag between stages.
@@ -100,31 +96,13 @@ func (p *Pipeline) Runner() *experiments.Runner {
 }
 
 // SetObs attaches a metrics registry to the pipeline and its source. Run
-// then records per-stage wall-time spans (stage:controlled, stage:train,
-// stage:idle, stage:uncontrolled) and per-collector visit counts and
-// cumulative visit time. Call before Run; instrumentation is nil-safe
-// and changes no analysis output.
+// then records per-stage wall-time spans (stage:fold, stage:train,
+// stage:idle, and stage:uncontrolled from RunUncontrolled) and
+// per-collector visit counts and cumulative visit time. Call before
+// Run; instrumentation is nil-safe and changes no analysis output.
 func (p *Pipeline) SetObs(reg *obs.Registry) {
 	p.metrics = reg
 	p.Source.SetObs(reg)
-}
-
-// timedVisitor wraps visit so each call increments
-// collector_visits.<name> and adds its latency to
-// collector_visit_ns.<name>. With no registry the visitor is returned
-// untouched, keeping the hot path allocation- and timer-free.
-func (p *Pipeline) timedVisitor(name string, visit func(*testbed.Experiment)) func(*testbed.Experiment) {
-	if p.metrics == nil {
-		return visit
-	}
-	visits := p.metrics.Counter("collector_visits." + name)
-	spent := p.metrics.Counter("collector_visit_ns." + name)
-	return func(exp *testbed.Experiment) {
-		t0 := time.Now()
-		visit(exp)
-		spent.Add(int64(time.Since(t0)))
-		visits.Inc()
-	}
 }
 
 // NewPipeline wires collectors to an experiment source's Internet model.
@@ -143,14 +121,21 @@ func NewPipeline(src Source) *Pipeline {
 	}
 }
 
-// Run executes controlled + idle experiments through all collectors,
-// trains the inference models, and applies them to the idle captures.
-// Models train on controlled data only, so idle captures stream through
-// detection without buffering — memory stays flat at paper scale.
-//
-// With more than one worker (see Workers) the collector stages run
-// sharded (shard.go) and training fans out; output is byte-identical to
-// the serial pipeline either way.
+// workerCount resolves a Workers knob: n > 0 is taken literally,
+// anything else means one worker per core.
+func workerCount(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Run folds the controlled and idle experiments into the collectors
+// (fold.go), trains the inference models on the controlled data, and
+// applies them to the idle captures, in three stages: stage:fold,
+// stage:train and stage:idle. A source that can fold the campaign during
+// its own decode pass does so; any other source is replayed through
+// fold units. Output is byte-identical for any worker count.
 func (p *Pipeline) Run(cfg InferConfig) {
 	p.aborted = false
 	if p.abortIfCanceled() {
@@ -158,42 +143,19 @@ func (p *Pipeline) Run(cfg InferConfig) {
 	}
 	workers := workerCount(p.Workers)
 	if cfg.Workers == 0 {
-		// A pipeline forced serial evaluates models serially too, so
-		// -analysis-workers=1 reproduces the historical single-threaded
-		// run end to end.
+		// A pipeline forced to one worker evaluates models serially too,
+		// so -analysis-workers=1 reproduces the single-threaded training
+		// end to end.
 		cfg.Workers = workers
 	}
+	p.metrics.Gauge("analysis_workers").Set(float64(workers))
 
-	// Single-decode streaming: a source that can fold the campaign into
-	// the collectors during its decode pass never buffers it for replay.
+	sink := newFoldSink(p)
+	span := p.metrics.StartSpan("stage:fold")
 	if sd, ok := p.Source.(singleDecodeSource); ok && sd.SingleDecode() {
-		p.runSingleDecode(sd, cfg)
-		return
-	}
-
-	span := p.metrics.StartSpan("stage:controlled")
-	if workers > 1 {
-		p.Stats = p.runShardedStage("controlled", workers, true, p.Source.RunControlled)
+		p.Stats, p.IdleStats = sd.RunSingleDecode(sink)
 	} else {
-		var (
-			degrade  = p.timedVisitor("degrade", p.degradeExp)
-			dest     = p.timedVisitor("dest", p.Dest.Visit)
-			enc      = p.timedVisitor("enc", p.Enc.Visit)
-			content  = p.timedVisitor("content", p.Content.Visit)
-			identify = p.timedVisitor("identify", p.Identify.Visit)
-		)
-		p.Stats = p.Source.RunControlled(func(exp *testbed.Experiment) {
-			if p.canceled() {
-				exp.Done()
-				return
-			}
-			degrade(exp)
-			dest(exp)
-			enc(exp)
-			content(exp)
-			identify(exp)
-			exp.Done()
-		})
+		p.Stats, p.IdleStats = p.foldReplay(sink, workers)
 	}
 	span.End()
 	if p.abortIfCanceled() {
@@ -211,29 +173,7 @@ func (p *Pipeline) Run(cfg InferConfig) {
 
 	p.IdleHits = NewDetectResult()
 	span = p.metrics.StartSpan("stage:idle")
-	if workers > 1 {
-		p.IdleStats = p.runShardedStage("idle", workers, false, p.Source.RunIdle)
-	} else {
-		var (
-			degrade = p.timedVisitor("degrade", p.degradeExp)
-			dest    = p.timedVisitor("dest", p.Dest.Visit)
-			enc     = p.timedVisitor("enc", p.Enc.Visit)
-			detect  = p.timedVisitor("detector", func(exp *testbed.Experiment) {
-				p.Detector.VisitIdle(exp, p.IdleHits)
-			})
-		)
-		p.IdleStats = p.Source.RunIdle(func(exp *testbed.Experiment) {
-			if p.canceled() {
-				exp.Done()
-				return
-			}
-			degrade(exp)
-			dest(exp)
-			enc(exp)
-			detect(exp)
-			exp.Done()
-		})
-	}
+	p.replayIdleDetections(sink.idle)
 	span.End()
 	p.abortIfCanceled()
 }

@@ -13,9 +13,8 @@ import (
 // Mon(IoT)r-style capture directory recorded at real gateways, either
 // buffered whole and replayed through the contract below or, with
 // ingest.Options.Stream, folded into the collectors during its one
-// decode pass (fold.go). The pipeline is indifferent to which source
-// feeds it — given the same experiment stream all produce
-// byte-identical tables.
+// decode pass. The pipeline folds both the same way (fold.go) — given
+// the same experiment stream all produce byte-identical tables.
 type Source interface {
 	// Internet exposes the (simulated) server side the captures talk
 	// to; the destination analysis needs its org registry and

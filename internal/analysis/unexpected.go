@@ -188,16 +188,6 @@ type DetectResult struct {
 	Hours map[string]float64
 	// deviceHours accumulates per (column, device) to derive Hours.
 	deviceHours map[string]map[string]float64
-	// tagged buffers shard-local detections with their experiment's
-	// delivery sequence; finalize re-interleaves them into Detections in
-	// delivery order. Serial visits append to Detections directly and
-	// never populate it.
-	tagged []taggedDetection
-}
-
-type taggedDetection struct {
-	seq int64
-	det Detection
 }
 
 // DetectKey identifies a Table 11 cell.
@@ -219,104 +209,86 @@ func NewDetectResult() *DetectResult {
 
 // VisitIdle classifies one idle experiment's traffic.
 func (d *Detector) VisitIdle(exp *testbed.Experiment, res *DetectResult) {
-	d.visitIdleAt(-1, exp, res)
+	if !d.HasModel(exp.Device.ID(), exp.Column) {
+		return
+	}
+	ie := segmentIdle(exp, d.Gap, d.FeatureSet, d.MinUnitPackets)
+	d.classifyIdle(&ie, res)
 }
 
-// visitIdleAt is VisitIdle with an explicit delivery sequence. A
-// non-negative seq tags each detection for later re-interleaving
-// (sharded stages call finalize after merging); seq -1 appends directly,
-// which is the serial path.
-func (d *Detector) visitIdleAt(seq int64, exp *testbed.Experiment, res *DetectResult) {
-	model, ok := d.models[instColKey{exp.Device.ID(), exp.Column}]
+// idleExp is one idle experiment reduced to what classification needs:
+// identity, wall-clock extent, and its traffic units already segmented
+// and vectorized.
+type idleExp struct {
+	devID, devName, column string
+	start, end             time.Time
+	units                  []idleUnit
+}
+
+type idleUnit struct {
+	packets    int
+	start, end time.Time
+	// vec is nil for units below segmentIdle's minPackets.
+	vec []float64
+}
+
+// segmentIdle splits exp's packets into traffic units at gap and
+// vectorizes every unit of at least minPackets packets.
+func segmentIdle(exp *testbed.Experiment, gap time.Duration, fs features.Set, minPackets int) idleExp {
+	ie := idleExp{
+		devID:   exp.Device.ID(),
+		devName: exp.Device.Profile.Name,
+		column:  exp.Column,
+		start:   exp.Start,
+		end:     exp.End,
+	}
+	for _, unit := range features.Segment(exp.Packets, gap) {
+		u := idleUnit{packets: len(unit.Packets), start: unit.Start, end: unit.End}
+		if u.packets >= minPackets {
+			u.vec = features.Vector(unit.Packets, fs)
+		}
+		ie.units = append(ie.units, u)
+	}
+	return ie
+}
+
+// classifyIdle accounts one segmented idle experiment into res: the
+// model lookup gates all accounting, hours and unit totals accrue per
+// experiment, and detections append in the order experiments arrive.
+func (d *Detector) classifyIdle(ie *idleExp, res *DetectResult) {
+	model, ok := d.models[instColKey{ie.devID, ie.column}]
 	if !ok {
 		return
 	}
-	if res.deviceHours[exp.Column] == nil {
-		res.deviceHours[exp.Column] = map[string]float64{}
+	if res.deviceHours[ie.column] == nil {
+		res.deviceHours[ie.column] = map[string]float64{}
 	}
-	res.deviceHours[exp.Column][exp.Device.ID()] += exp.End.Sub(exp.Start).Hours()
-	if h := res.deviceHours[exp.Column][exp.Device.ID()]; h > res.Hours[exp.Column] {
-		res.Hours[exp.Column] = h
+	res.deviceHours[ie.column][ie.devID] += ie.end.Sub(ie.start).Hours()
+	if h := res.deviceHours[ie.column][ie.devID]; h > res.Hours[ie.column] {
+		res.Hours[ie.column] = h
 	}
-	us := res.Units[exp.Column]
+	us := res.Units[ie.column]
 	if us == nil {
 		us = &unitStats{}
-		res.Units[exp.Column] = us
+		res.Units[ie.column] = us
 	}
-	for _, unit := range features.Segment(exp.Packets, d.Gap) {
+	for _, u := range ie.units {
 		us.Total++
-		if len(unit.Packets) < d.MinUnitPackets {
+		if u.packets < d.MinUnitPackets {
 			continue
 		}
-		vec := features.Vector(unit.Packets, d.FeatureSet)
-		label, vote := model.forest.PredictTop(vec)
-		if vote < d.MinVote || !model.withinEnvelope(label, vec) {
+		label, vote := model.forest.PredictTop(u.vec)
+		if vote < d.MinVote || !model.withinEnvelope(label, u.vec) {
 			continue
 		}
 		us.Classified++
-		det := Detection{
-			DeviceID: exp.Device.ID(), DeviceName: exp.Device.Profile.Name,
-			Column: exp.Column, Activity: label,
-			Start: unit.Start, End: unit.End,
-		}
-		if seq >= 0 {
-			res.tagged = append(res.tagged, taggedDetection{seq, det})
-		} else {
-			res.Detections = append(res.Detections, det)
-		}
-		res.Counts[DetectKey{exp.Device.Profile.Name, label, exp.Column}]++
+		res.Detections = append(res.Detections, Detection{
+			DeviceID: ie.devID, DeviceName: ie.devName,
+			Column: ie.column, Activity: label,
+			Start: u.start, End: u.end,
+		})
+		res.Counts[DetectKey{ie.devName, label, ie.column}]++
 	}
-}
-
-// merge folds a shard's result into r: counts and unit totals add,
-// per-device hours add over disjoint devices (experiments route by
-// device), per-column Hours takes the max — each device's full
-// accumulation lives on one shard, so the max over shard maxima equals
-// the serial running max. Tagged detections concatenate; finalize
-// re-interleaves them.
-func (r *DetectResult) merge(o *DetectResult) {
-	r.tagged = append(r.tagged, o.tagged...)
-	for k, n := range o.Counts {
-		r.Counts[k] += n
-	}
-	for col, us := range o.Units {
-		cur := r.Units[col]
-		if cur == nil {
-			r.Units[col] = us
-			continue
-		}
-		cur.Total += us.Total
-		cur.Classified += us.Classified
-	}
-	for col, devs := range o.deviceHours {
-		cur := r.deviceHours[col]
-		if cur == nil {
-			r.deviceHours[col] = devs
-			continue
-		}
-		for dev, h := range devs {
-			cur[dev] += h
-		}
-	}
-	for col, h := range o.Hours {
-		if h > r.Hours[col] {
-			r.Hours[col] = h
-		}
-	}
-}
-
-// finalize moves tagged detections into Detections in delivery order.
-// The sort is stable so the within-experiment unit order each shard
-// produced survives; serial runs have nothing tagged and skip out.
-func (r *DetectResult) finalize() {
-	if len(r.tagged) == 0 {
-		return
-	}
-	sort.SliceStable(r.tagged, func(i, j int) bool { return r.tagged[i].seq < r.tagged[j].seq })
-	for _, td := range r.tagged {
-		r.Detections = append(r.Detections, td.det)
-	}
-	r.tagged = nil
 }
 
 // Table11Row is one row of Table 11.

@@ -22,7 +22,7 @@
 // sketch state; the runner nevertheless folds homes in index order so
 // the bounded top-SLD candidate set — whose eviction order is fold-
 // order-sensitive — is byte-identical for any worker count, the same
-// discipline as the sharded analysis pipeline.
+// discipline as the analysis pipeline's in-order fold merge.
 //
 // Run's parallelism reuses the -analysis-workers knob: homes are
 // dispatched to a worker pool with a bounded lead (at most `workers`

@@ -5,8 +5,7 @@
 // sketch for heavy-hitter frequency tables over the same unbounded
 // keyspaces.
 //
-// Both sketches share the properties the sharded-merge machinery of the
-// analysis pipeline relies on:
+// Both sketches have the merge properties the fleet runner relies on:
 //
 //   - Deterministic seeded hashing: every register/counter value is a
 //     pure function of (seed, key), never of insertion order or

@@ -149,11 +149,11 @@ func NewStudyFromSource(src Source) *Study {
 // call before Run.
 func (s *Study) SetInferenceConfig(cfg analysis.InferConfig) { s.inferCfg = cfg }
 
-// SetAnalysisWorkers bounds the analysis-side parallelism: the sharded
-// collector stage and model training/evaluation. 0 (the default) means
-// one worker per core, 1 forces the historical serial pipeline. Every
-// report table and detection is byte-identical for any value; call
-// before Run.
+// SetAnalysisWorkers bounds the analysis-side parallelism: the
+// goroutines that fold experiments into the collectors, and model
+// training/evaluation. 0 (the default) means one worker per core; 1
+// folds on one worker and trains serially. Every report table and
+// detection is byte-identical for any value; call before Run.
 func (s *Study) SetAnalysisWorkers(n int) { s.pipeline.Workers = n }
 
 // SetContext attaches a cancellation context to the analysis pipeline.

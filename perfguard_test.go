@@ -6,6 +6,7 @@ import (
 	"time"
 
 	intliot "github.com/neu-sns/intl-iot-go"
+	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/ingest"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -18,6 +19,16 @@ import (
 // copies every payload into slabs), so a regression to the floor means the
 // single-decode path lost its entire advantage and then some.
 const throughputFloor = 0.90
+
+// noopFoldSink absorbs experiments without analysis cost, so the gate
+// isolates source throughput (decode + sort + run dispatch + merge).
+type noopFoldSink struct{}
+
+type noopFoldUnit struct{}
+
+func (noopFoldUnit) Fold(exp *testbed.Experiment)             { exp.Done() }
+func (noopFoldSink) NewFoldUnit(bool) experiments.FoldUnit    { return noopFoldUnit{} }
+func (noopFoldSink) MergeFoldUnit(bool, experiments.FoldUnit) {}
 
 // TestStreamingThroughputFloor is the perf regression gate. Wall-clock
 // measurements are meaningless on loaded CI machines, so it only runs
