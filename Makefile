@@ -26,17 +26,18 @@ test:
 race:
 	$(GO) test -race -timeout 40m ./...
 
-# Focused race gate over the concurrency-heavy packages: the impairment
+# Focused race gate over the concurrency-heavy packages: the ordered
+# worker pool every parallel stage runs on (internal/par), the impairment
 # engine (consulted from parallel lab goroutines), the shared cloud
 # model, the campaign runner that fans out across labs, the parallel
 # forest trainer, the analysis fold driver, the ingest decode pool
-# and its single-decode fold pass, the fleet runner's bounded-lead home pool folding into
+# and its single-decode fold pass, the fleet runner's home pool folding into
 # shared-seed sketches, and the PII scanners every fold unit shares.
 racecore:
-	$(GO) test -race ./internal/faults/... ./internal/cloud/... ./internal/experiments/... \
-		./internal/ml/... ./internal/analysis/... ./internal/ingest/... \
-		./internal/service/... ./internal/fleet/... ./internal/sketch/... \
-		./internal/reshape/... ./internal/pii/...
+	$(GO) test -race ./internal/par/... ./internal/faults/... ./internal/cloud/... \
+		./internal/experiments/... ./internal/ml/... ./internal/analysis/... \
+		./internal/ingest/... ./internal/service/... ./internal/fleet/... \
+		./internal/sketch/... ./internal/reshape/... ./internal/pii/...
 
 # Benchmark sweep (-run '^$$' skips the test suites): the root table
 # harness, the forest-training and collector-stage (Pipeline.Run)

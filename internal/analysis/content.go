@@ -6,6 +6,7 @@ import (
 
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/pii"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -242,7 +243,7 @@ func (c *ContentCollector) Infer(cfg InferConfig) []InferenceResult {
 	cvCfg := cfg.CV
 	cvCfg.Workers = 1 // the datasets already saturate the worker pool
 	out := make([]InferenceResult, len(eligible))
-	parallelFor(len(eligible), workerCount(cfg.Workers), func(i int) {
+	par.For(len(eligible), par.Workers(cfg.Workers), func(i int) {
 		k := eligible[i]
 		ds := c.datasets[k]
 		res := ml.CrossValidate(ds, cvCfg)
@@ -261,37 +262,6 @@ func (c *ContentCollector) Infer(cfg InferConfig) []InferenceResult {
 		return nil
 	}
 	return out
-}
-
-// parallelFor runs fn(i) for i in [0, n) on at most workers goroutines;
-// with one worker it degenerates to a plain loop. Determinism is the
-// caller's contract: fn(i) writes only to slot i of pre-sized outputs.
-func parallelFor(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // InferrableDevicesByCategory returns Table 9: per (category, column) the

@@ -1,13 +1,13 @@
 package analysis
 
 import (
-	"sync"
+	"context"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
-	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -20,8 +20,10 @@ import (
 // first. Two drivers produce the units: a singleDecodeSource
 // (internal/ingest in streaming mode) folds during its one decode pass,
 // and foldReplay folds any other source from its RunControlled/RunIdle
-// stream. Every table stays byte-identical to visiting the same stream
-// serially through the public Visit methods, because
+// stream, each run one job of a par.Ordered pool, which merges runs in
+// submission order with at most 2×workers pending. Every table stays
+// byte-identical to visiting the same stream serially through the public
+// Visit methods, because
 //
 //   - a unit receives a contiguous slice of the delivery order, in
 //     order, so device-local order-sensitive state (Welch-test samples,
@@ -37,9 +39,10 @@ import (
 //     serial replay would have seen (dest.go);
 //   - idle-leg detection needs models that only exist after the
 //     controlled leg trains, so fold units capture each idle
-//     experiment's traffic units (segmented and vectorized exactly as
-//     Detector.VisitIdle would) and replayIdleDetections classifies them
-//     in delivery order once the models exist.
+//     experiment's classifiable traffic units (segmented and vectorized
+//     exactly as Detector.VisitIdle would) and a count of the rest, and
+//     replayIdleDetections classifies them in delivery order once the
+//     models exist.
 //
 // The controlled leg merges completely before training starts.
 type singleDecodeSource interface {
@@ -165,10 +168,8 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 		u.identify.Visit(exp)
 		u.lap(stepIdentify, t)
 	} else {
-		// The gap and feature set are the ones NewDetector configures.
-		// Every unit is vectorized, even ones the MinUnitPackets filter
-		// will drop: the packets are gone after this fold.
-		u.idle = append(u.idle, segmentIdle(exp, features.DefaultUnitGap, u.p.Content.FeatureSet, 0))
+		// The feature set is the one NewDetector configures.
+		u.idle = append(u.idle, segmentIdle(exp, u.p.Content.FeatureSet))
 		u.lap(stepDetector, t)
 	}
 	// The flow scratches would pin this experiment's packets until merge.
@@ -192,88 +193,66 @@ func (u *foldUnit) lap(step int, t0 time.Time) time.Time {
 // so memory stays proportional to workers when delivery outruns analysis.
 const foldQueueDepth = 64
 
-// foldRun is one contiguous run of a delivered leg on its way through a
-// worker to the merge.
-type foldRun struct {
+// foldedRun is one contiguous run of a delivered leg, folded and on its
+// way to the merge.
+type foldedRun struct {
 	controlled bool
 	unit       experiments.FoldUnit
-	exps       chan *testbed.Experiment
-	done       chan struct{}
 }
 
 // foldReplay folds a plain source through sink: RunControlled, then
 // RunIdle unless the pipeline was cancelled meanwhile. A new run starts
 // whenever the delivered experiment's device instance or VPN flag
-// changes — the run rule of the ingest fold pass — and each run folds on
-// one of workers goroutines. A merger goroutine merges finished runs in
-// delivery order, controlled leg first, while later runs still fold; at
-// most 2×workers+1 runs are pending, so memory does not grow with the
-// campaign. The returned statistics are exactly the source's.
+// changes — the run rule of the ingest fold pass. Each run is one job of
+// a par.Ordered pool: it folds on one of workers goroutines, reading the
+// run's experiments as delivery hands them over, and the runs merge in
+// delivery order, controlled leg first, while later runs still fold. At
+// most 2×workers runs are pending, so memory does not grow with the
+// campaign. Cancellation drains delivery rather than stopping the pool,
+// so every submitted run folds and merges. The returned statistics are
+// exactly the source's.
 func (p *Pipeline) foldReplay(sink experiments.FoldSink, workers int) (ctl, idle experiments.Stats) {
-	work := make(chan *foldRun)
-	order := make(chan *foldRun, 2*workers)
-	var folding sync.WaitGroup
-	folding.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer folding.Done()
-			for r := range work {
-				for exp := range r.exps {
-					r.unit.Fold(exp)
+	_ = par.Ordered(context.Background(), workers, func(submit func(func() foldedRun) bool) {
+		leg := func(controlled bool, run func(experiments.Visitor) experiments.Stats) experiments.Stats {
+			var (
+				exps chan *testbed.Experiment
+				dev  string
+				vpn  bool
+			)
+			stats := run(func(exp *testbed.Experiment) {
+				if p.canceled() {
+					exp.Done()
+					return
 				}
-				close(r.done)
+				if id := exp.Device.ID(); exps == nil || id != dev || exp.VPN != vpn {
+					if exps != nil {
+						close(exps)
+					}
+					in := make(chan *testbed.Experiment, foldQueueDepth)
+					unit := sink.NewFoldUnit(controlled)
+					submit(func() foldedRun {
+						for exp := range in {
+							unit.Fold(exp)
+						}
+						return foldedRun{controlled, unit}
+					})
+					exps, dev, vpn = in, id, exp.VPN
+				}
+				exps <- exp
+			})
+			if exps != nil {
+				close(exps)
 			}
-		}()
-	}
-	merged := make(chan struct{})
-	go func() {
-		defer close(merged)
-		for r := range order {
-			<-r.done
-			sink.MergeFoldUnit(r.controlled, r.unit)
+			return stats
 		}
-	}()
-
-	leg := func(controlled bool, run func(experiments.Visitor) experiments.Stats) experiments.Stats {
-		var (
-			cur *foldRun
-			dev string
-			vpn bool
-		)
-		stats := run(func(exp *testbed.Experiment) {
-			if p.canceled() {
-				exp.Done()
-				return
-			}
-			if id := exp.Device.ID(); cur == nil || id != dev || exp.VPN != vpn {
-				if cur != nil {
-					close(cur.exps)
-				}
-				cur = &foldRun{
-					controlled: controlled,
-					unit:       sink.NewFoldUnit(controlled),
-					exps:       make(chan *testbed.Experiment, foldQueueDepth),
-					done:       make(chan struct{}),
-				}
-				dev, vpn = id, exp.VPN
-				order <- cur
-				work <- cur
-			}
-			cur.exps <- exp
-		})
-		if cur != nil {
-			close(cur.exps)
+		ctl = leg(true, p.Source.RunControlled)
+		if !p.canceled() {
+			idle = leg(false, p.Source.RunIdle)
 		}
-		return stats
-	}
-	ctl = leg(true, p.Source.RunControlled)
-	if !p.canceled() {
-		idle = leg(false, p.Source.RunIdle)
-	}
-	close(work)
-	close(order)
-	folding.Wait()
-	<-merged
+	}, func(r foldedRun) error {
+		sink.MergeFoldUnit(r.controlled, r.unit)
+		return nil
+	})
 	return ctl, idle
 }
 

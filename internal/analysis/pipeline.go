@@ -2,11 +2,11 @@ package analysis
 
 import (
 	"context"
-	"runtime"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/geo"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/reshape"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -121,15 +121,6 @@ func NewPipeline(src Source) *Pipeline {
 	}
 }
 
-// workerCount resolves a Workers knob: n > 0 is taken literally,
-// anything else means one worker per core.
-func workerCount(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Run folds the controlled and idle experiments into the collectors
 // (fold.go), trains the inference models on the controlled data, and
 // applies them to the idle captures, in three stages: stage:fold,
@@ -141,7 +132,7 @@ func (p *Pipeline) Run(cfg InferConfig) {
 	if p.abortIfCanceled() {
 		return
 	}
-	workers := workerCount(p.Workers)
+	workers := par.Workers(p.Workers)
 	if cfg.Workers == 0 {
 		// A pipeline forced to one worker evaluates models serially too,
 		// so -analysis-workers=1 reproduces the single-threaded training

@@ -7,6 +7,7 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -15,19 +16,22 @@ import (
 // under cross-validation), segment unlabelled traffic into traffic units
 // (> 2 s gaps), and classify each sufficiently large unit.
 type Detector struct {
-	// Gap is the traffic-unit segmentation threshold (default 2 s).
-	Gap time.Duration
-	// MinUnitPackets filters units too small to classify; heartbeat
-	// flows (8–10 packets with TCP framing) and NTP blips fall below it,
-	// while even the smallest real interaction spans several flows.
-	MinUnitPackets int
-	// MinVote is the forest vote share required to accept a prediction.
-	MinVote float64
 	// FeatureSet must match the models' training features.
 	FeatureSet features.Set
 
 	models map[instColKey]*deviceModel
 }
+
+const (
+	// unitGap is the traffic-unit segmentation threshold.
+	unitGap = features.DefaultUnitGap
+	// minUnitPackets filters units too small to classify; heartbeat
+	// flows (8–10 packets with TCP framing) and NTP blips fall below it,
+	// while even the smallest real interaction spans several flows.
+	minUnitPackets = 12
+	// minVote is the forest vote share required to accept a prediction.
+	minVote = 0.6
+)
 
 type deviceModel struct {
 	forest *ml.Forest
@@ -109,11 +113,8 @@ func absF(v float64) float64 {
 // for any worker count.
 func NewDetector(c *ContentCollector, results []InferenceResult, cfg InferConfig) *Detector {
 	d := &Detector{
-		Gap:            features.DefaultUnitGap,
-		MinUnitPackets: 12,
-		MinVote:        0.6,
-		FeatureSet:     c.FeatureSet,
-		models:         make(map[instColKey]*deviceModel),
+		FeatureSet: c.FeatureSet,
+		models:     make(map[instColKey]*deviceModel),
 	}
 	type pick struct {
 		r  InferenceResult
@@ -134,7 +135,7 @@ func NewDetector(c *ContentCollector, results []InferenceResult, cfg InferConfig
 	fcfg := cfg.CV.Forest
 	fcfg.Seed = cfg.CV.Seed
 	fcfg.Workers = 1 // the models already saturate the worker pool
-	parallelFor(len(picks), workerCount(cfg.Workers), func(i int) {
+	par.For(len(picks), par.Workers(cfg.Workers), func(i int) {
 		models[i] = &deviceModel{
 			forest:    ml.TrainForest(picks[i].ds, fcfg),
 			f1:        picks[i].r.DeviceF1,
@@ -212,29 +213,30 @@ func (d *Detector) VisitIdle(exp *testbed.Experiment, res *DetectResult) {
 	if !d.HasModel(exp.Device.ID(), exp.Column) {
 		return
 	}
-	ie := segmentIdle(exp, d.Gap, d.FeatureSet, d.MinUnitPackets)
+	ie := segmentIdle(exp, d.FeatureSet)
 	d.classifyIdle(&ie, res)
 }
 
 // idleExp is one idle experiment reduced to what classification needs:
-// identity, wall-clock extent, and its traffic units already segmented
-// and vectorized.
+// identity, wall-clock extent, its classifiable traffic units already
+// segmented and vectorized, and a count of the units too small to
+// classify.
 type idleExp struct {
 	devID, devName, column string
 	start, end             time.Time
 	units                  []idleUnit
+	small                  int
 }
 
 type idleUnit struct {
-	packets    int
 	start, end time.Time
-	// vec is nil for units below segmentIdle's minPackets.
-	vec []float64
+	vec        []float64
 }
 
-// segmentIdle splits exp's packets into traffic units at gap and
-// vectorizes every unit of at least minPackets packets.
-func segmentIdle(exp *testbed.Experiment, gap time.Duration, fs features.Set, minPackets int) idleExp {
+// segmentIdle splits exp's packets into traffic units at unitGap,
+// vectorizes every unit of at least minUnitPackets packets and counts
+// the rest.
+func segmentIdle(exp *testbed.Experiment, fs features.Set) idleExp {
 	ie := idleExp{
 		devID:   exp.Device.ID(),
 		devName: exp.Device.Profile.Name,
@@ -242,12 +244,12 @@ func segmentIdle(exp *testbed.Experiment, gap time.Duration, fs features.Set, mi
 		start:   exp.Start,
 		end:     exp.End,
 	}
-	for _, unit := range features.Segment(exp.Packets, gap) {
-		u := idleUnit{packets: len(unit.Packets), start: unit.Start, end: unit.End}
-		if u.packets >= minPackets {
-			u.vec = features.Vector(unit.Packets, fs)
+	for _, unit := range features.Segment(exp.Packets, unitGap) {
+		if len(unit.Packets) < minUnitPackets {
+			ie.small++
+			continue
 		}
-		ie.units = append(ie.units, u)
+		ie.units = append(ie.units, idleUnit{start: unit.Start, end: unit.End, vec: features.Vector(unit.Packets, fs)})
 	}
 	return ie
 }
@@ -272,13 +274,10 @@ func (d *Detector) classifyIdle(ie *idleExp, res *DetectResult) {
 		us = &unitStats{}
 		res.Units[ie.column] = us
 	}
+	us.Total += ie.small + len(ie.units)
 	for _, u := range ie.units {
-		us.Total++
-		if u.packets < d.MinUnitPackets {
-			continue
-		}
 		label, vote := model.forest.PredictTop(u.vec)
-		if vote < d.MinVote || !model.withinEnvelope(label, u.vec) {
+		if vote < minVote || !model.withinEnvelope(label, u.vec) {
 			continue
 		}
 		us.Classified++
@@ -360,13 +359,13 @@ func (d *Detector) VisitUncontrolled(res *experiments.UncontrolledResult, out *D
 	if !ok {
 		return
 	}
-	for _, unit := range features.Segment(exp.Packets, d.Gap) {
-		if len(unit.Packets) < d.MinUnitPackets {
+	for _, unit := range features.Segment(exp.Packets, unitGap) {
+		if len(unit.Packets) < minUnitPackets {
 			continue
 		}
 		vec := features.Vector(unit.Packets, d.FeatureSet)
 		label, vote := model.forest.PredictTop(vec)
-		if vote < d.MinVote || !model.withinEnvelope(label, vec) {
+		if vote < minVote || !model.withinEnvelope(label, vec) {
 			continue
 		}
 		out.Counts[DetectKey{exp.Device.Profile.Name, label, "uncontrolled"}]++

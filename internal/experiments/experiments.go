@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -12,6 +12,7 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/devices"
 	"github.com/neu-sns/intl-iot-go/internal/faults"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -230,28 +231,21 @@ func (r *Runner) runControlledJob(j controlledJob) []*testbed.Experiment {
 	return out
 }
 
-// fanOut executes numJobs synthesis jobs on the configured worker count
-// and hands every produced item to deliver in submission order, so
-// analyses see a deterministic stream regardless of parallelism. Memory
-// stays bounded at ~workers in-flight legs: each job gets a result
-// channel, workers fill them, the consumer drains them in order. It is a
-// free function because methods cannot take type parameters; the element
-// type T is *testbed.Experiment for the controlled/idle legs and
-// *UncontrolledResult for the user-study leg.
+// synthesizeLeg runs numJobs synthesis jobs (device legs or study days)
+// on a par.Ordered pool and hands every produced item to deliver in job
+// order, so analyses see a deterministic stream regardless of
+// parallelism, and at most 2×workers jobs are synthesized ahead of
+// delivery. It is a free function because methods cannot take type
+// parameters; the element type T is *testbed.Experiment for the
+// controlled/idle legs and *UncontrolledResult for the user-study leg.
 //
-// When a metrics registry is attached, fanOut reports per-leg synthesis
-// latency (<stage>_leg_seconds), live queue depth (<stage>_queue_depth),
-// throughput (<stage>_experiments_per_sec) and worker utilization — the
-// share of worker wall time spent synthesizing (<stage>_worker_utilization).
-func fanOut[T any](r *Runner, stage string, numJobs int, run func(int) []T, deliver func(int, T)) {
-	workers := r.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numJobs {
-		workers = numJobs
-	}
-
+// When a metrics registry is attached, synthesizeLeg reports per-job
+// synthesis latency (<stage>_leg_seconds), live queue depth
+// (<stage>_queue_depth), throughput (<stage>_experiments_per_sec) and
+// worker utilization — the share of worker wall time spent synthesizing
+// (<stage>_worker_utilization).
+func synthesizeLeg[T any](r *Runner, stage string, numJobs int, run func(int) []T, deliver func(T)) {
+	workers := min(par.Workers(r.Cfg.Workers), numJobs)
 	var (
 		legHist = r.metrics.Histogram(stage+"_leg_seconds", obs.DurationBuckets)
 		queue   = r.metrics.Gauge(stage + "_queue_depth")
@@ -265,42 +259,27 @@ func fanOut[T any](r *Runner, stage string, numJobs int, run func(int) []T, deli
 		r.metrics.Gauge(stage + "_workers").Set(float64(workers))
 	}
 
-	results := make([]chan []T, numJobs)
-	for i := range results {
-		results[i] = make(chan []T, 1)
-	}
-	next := make(chan int)
-	go func() {
+	count := 0
+	// A leg never stops early, so Ordered's error is always nil.
+	_ = par.Ordered(context.Background(), workers, func(submit func(func() []T) bool) {
 		for i := 0; i < numJobs; i++ {
-			next <- i
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
-				if r.metrics == nil {
-					results[i] <- run(i)
-					continue
-				}
+			submit(func() []T {
 				t0 := time.Now()
 				out := run(i)
 				d := time.Since(t0)
 				busyNS.Add(int64(d))
 				legHist.ObserveDuration(d)
 				queue.Add(-1)
-				results[i] <- out
-			}
-		}()
-	}
-
-	count := 0
-	for i := 0; i < numJobs; i++ {
-		for _, exp := range <-results[i] {
-			count++
-			deliver(i, exp)
+				return out
+			})
 		}
-	}
+	}, func(items []T) error {
+		for _, item := range items {
+			count++
+			deliver(item)
+		}
+		return nil
+	})
 	if r.metrics != nil {
 		r.metrics.Counter(stage + "_experiments_total").Add(int64(count))
 		if wall := time.Since(start).Seconds(); wall > 0 {
@@ -328,12 +307,12 @@ func (r *Runner) RunControlled(visit Visitor) Stats {
 	}
 	var stats Stats
 	expTotal := r.metrics.Counter("experiments_total")
-	fanOut(r, "controlled", len(jobs),
+	synthesizeLeg(r, "controlled", len(jobs),
 		func(i int) []*testbed.Experiment { return r.runControlledJob(jobs[i]) },
-		func(i int, exp *testbed.Experiment) {
+		func(exp *testbed.Experiment) {
 			automated := false
 			if exp.Kind == testbed.KindInteraction {
-				automated = ActivityAutomated(jobs[i].slot.Inst, exp.Activity)
+				automated = ActivityAutomated(exp.Device, exp.Activity)
 			}
 			stats.absorb(exp, automated)
 			expTotal.Inc()
@@ -413,9 +392,9 @@ func (r *Runner) RunIdle(visit Visitor) Stats {
 
 	var stats Stats
 	expTotal := r.metrics.Counter("experiments_total")
-	fanOut(r, "idle", len(jobs),
+	synthesizeLeg(r, "idle", len(jobs),
 		func(i int) []*testbed.Experiment { return runJob(jobs[i]) },
-		func(_ int, exp *testbed.Experiment) {
+		func(exp *testbed.Experiment) {
 			stats.absorb(exp, false)
 			expTotal.Inc()
 			visit(exp)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/devices"
+	"github.com/neu-sns/intl-iot-go/internal/obs"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -235,5 +236,39 @@ func TestStatsSameAcrossWorkerCounts(t *testing.T) {
 	}
 	if s1.Automated == 0 || s1.Manual == 0 || s1.Power == 0 {
 		t.Errorf("accounting empty: %+v", s1)
+	}
+}
+
+// TestSynthesisLegMetrics checks the metrics the controlled leg's
+// synthesis pool records: one leg_seconds observation per (lab, vpn,
+// slot) job, an experiments_total equal to the leg's Stats, a queue that
+// drains to zero and a worker utilization in (0, 1].
+func TestSynthesisLegMetrics(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = 3
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r.SetObs(reg)
+	stats := r.RunControlled(func(*testbed.Experiment) {})
+
+	jobs := 0
+	for _, lab := range r.labs() {
+		jobs += len(r.vpnModes()) * len(lab.Slots())
+	}
+	snap := reg.Snapshot()
+	if got := snap.Histograms["controlled_leg_seconds"].Count; got != int64(jobs) {
+		t.Errorf("controlled_leg_seconds count = %d, want %d jobs", got, jobs)
+	}
+	if got := snap.Counters["controlled_experiments_total"]; got != int64(stats.Experiments) {
+		t.Errorf("controlled_experiments_total = %d, want Stats.Experiments %d", got, stats.Experiments)
+	}
+	if depth, ok := snap.Gauges["controlled_queue_depth"]; !ok || depth != 0 {
+		t.Errorf("controlled_queue_depth = %v (recorded %v), want 0", depth, ok)
+	}
+	if u := snap.Gauges["controlled_worker_utilization"]; u <= 0 || u > 1 {
+		t.Errorf("controlled_worker_utilization = %v, want in (0, 1]", u)
 	}
 }

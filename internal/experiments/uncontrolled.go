@@ -168,8 +168,8 @@ func (r *Runner) RunUncontrolled(visit func(*UncontrolledResult)) Stats {
 		return out
 	}
 
-	fanOut(r, "uncontrolled", days, runDay,
-		func(_ int, res *UncontrolledResult) {
+	synthesizeLeg(r, "uncontrolled", days, runDay,
+		func(res *UncontrolledResult) {
 			stats.Experiments++
 			stats.Packets += int64(len(res.Experiment.Packets))
 			stats.Bytes += int64(res.Experiment.Bytes())

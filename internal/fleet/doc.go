@@ -24,8 +24,20 @@
 // order-sensitive — is byte-identical for any worker count, the same
 // discipline as the analysis pipeline's in-order fold merge.
 //
-// Run's parallelism reuses the -analysis-workers knob: homes are
-// dispatched to a worker pool with a bounded lead (at most `workers`
-// homes in flight), so a fast worker can never buffer O(fleet) results
-// while the consumer folds in order.
+// Run's parallelism reuses the -analysis-workers knob (0 = GOMAXPROCS):
+// each home is one job of a par.Ordered pool, the scheduling discipline
+// every parallel stage shares, which folds finished homes in index order
+// and blocks dispatch once 2×workers homes are synthesized but not yet
+// folded, so a fast worker can never buffer O(fleet) results. On
+// cancellation Run waits for the homes already synthesizing and drops
+// them.
+//
+// runHome keeps its own visit loop rather than folding through the
+// analysis pipeline's fold units (internal/analysis/fold.go). The fleet
+// aggregates per flow, through the collectors' OnDestination and OnFlow
+// taps, and fold units never call those taps: they defer DNS label
+// resolution to the merge, where a flow's destination may only then be
+// known. Nor does the fleet need the fold's run-level parallelism — the
+// home itself is the unit that Run parallelizes and merges in index
+// order.
 package fleet

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 )
 
 // fingerprint serializes an aggregate deterministically for
@@ -184,22 +187,35 @@ func TestSketchWithinBounds(t *testing.T) {
 }
 
 // TestRunCancel: a cancelled context stops the fleet promptly with
-// partial results, never a deadlock.
+// partial results, never a deadlock, and no goroutine Run started is
+// still alive when it returns.
 func TestRunCancel(t *testing.T) {
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var err error
-	go func() {
-		defer close(done)
-		_, err = Run(ctx, Config{Homes: 100, Seed: 1, Workers: 2, Progress: func(n, total int) {
-			if n == 2 {
-				cancel()
-			}
-		}}, nil)
-	}()
-	<-done
+	defer cancel()
+	_, err := Run(ctx, Config{Homes: 100, Seed: 1, Workers: 2, Progress: func(n, total int) {
+		if n == 2 {
+			cancel()
+		}
+	}}, nil)
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	// The third home starts when the first folds, so it is mid-synthesis
+	// when the cancel lands; Run must have waited for it.
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "fleet.runHome") {
+		t.Fatal("a worker was still synthesizing a home after Run returned")
+	}
+	// A goroutine that signalled its exit still counts until it has run
+	// its last deferred call.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines alive after Run returned, %d before", n, base)
 	}
 }
 

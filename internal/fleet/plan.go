@@ -21,8 +21,8 @@ type Config struct {
 	Homes int
 	// Seed derives every per-home seed, roster and clock offset.
 	Seed int64
-	// Workers bounds cross-home parallelism: 0 means one worker per
-	// core, 1 forces the serial fold. Results are byte-identical for
+	// Workers bounds cross-home parallelism: 0 means GOMAXPROCS, 1
+	// synthesizes one home at a time. Results are byte-identical for
 	// any value, like the analysis pipeline's -analysis-workers.
 	Workers int
 	// Precision is the HLL precision p (2^p registers); 0 means
@@ -33,8 +33,8 @@ type Config struct {
 	// memory — validation fleets only.
 	TrackExact bool
 	// Progress, when set, is called after each home folds into the
-	// fleet aggregate (done homes, total homes). Called from the
-	// consumer goroutine, in home order.
+	// fleet aggregate (done homes, total homes). Called serially, in
+	// home order.
 	Progress func(done, total int)
 }
 

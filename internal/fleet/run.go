@@ -2,13 +2,13 @@ package fleet
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/cloud"
 	"github.com/neu-sns/intl-iot-go/internal/faults"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 )
 
 // homeResult carries one home's fold input back to the consumer.
@@ -19,16 +19,18 @@ type homeResult struct {
 }
 
 // Run plans and executes a fleet campaign, returning the merged
-// fleet-level Aggregate. Homes run on Workers goroutines with a bounded
-// lead — at most `workers` homes in flight — and fold into the
-// aggregate in home-index order on the calling goroutine, so the result
-// is byte-identical for any worker count and peak heap stays
+// fleet-level Aggregate. Homes are the jobs of a par.Ordered pool on
+// Workers goroutines — at most 2×workers homes synthesized but not yet
+// folded — and fold into the aggregate serially in home-index order, so
+// the result is byte-identical for any worker count and peak heap stays
 // O(workers × window + aggregate).
 //
 // A nil registry disables instrumentation; otherwise Run maintains the
 // fleet_homes_completed and fleet_aggregate_bytes_high_water gauges and
 // the fleet_home_duration histogram as homes complete. On context
-// cancellation Run returns the partial aggregate with ctx.Err().
+// cancellation Run lets the homes already synthesizing finish, drops
+// them, and returns the partial aggregate with ctx.Err(); no goroutine
+// it started outlives it.
 func Run(ctx context.Context, cfg Config, reg *obs.Registry) (*Aggregate, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -37,13 +39,7 @@ func Run(ctx context.Context, cfg Config, reg *obs.Registry) (*Aggregate, error)
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
+	workers := min(par.Workers(cfg.Workers), len(specs))
 
 	// One simulated Internet per distinct fault profile: a clean home
 	// must never share an Internet with one riding cloud outages, but
@@ -87,68 +83,36 @@ func Run(ctx context.Context, cfg Config, reg *obs.Registry) (*Aggregate, error)
 		return nil, err
 	}
 
-	// Bounded-lead dispatch: the dispatcher takes a semaphore slot
-	// before feeding each home index, the consumer releases it after
-	// folding that home. Dispatch is in index order, so the smallest
-	// unfolded index is always in flight — the in-order fold can never
-	// deadlock, and a fast worker can never buffer O(fleet) results.
-	sem := make(chan struct{}, workers)
-	next := make(chan int)
-	results := make([]chan homeResult, len(specs))
-	for i := range results {
-		results[i] = make(chan homeResult, 1)
-	}
-	go func() {
-		defer close(next)
-		for i := range specs {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
-				spec := specs[i]
-				be := backends[spec.FaultProfile]
+	done, highWater := 0, 0
+	err = par.Ordered(ctx, workers, func(submit func(func() homeResult) bool) {
+		for _, spec := range specs {
+			be := backends[spec.FaultProfile]
+			if !submit(func() homeResult {
 				start := time.Now()
 				agg, err := runHome(spec, be.internet, be.eng, cfg)
-				results[i] <- homeResult{agg: agg, dur: time.Since(start), err: err}
+				return homeResult{agg: agg, dur: time.Since(start), err: err}
+			}) {
+				return
 			}
-		}()
-	}
-
-	highWater := 0
-	for i := range specs {
-		var res homeResult
-		select {
-		case res = <-results[i]:
-		case <-ctx.Done():
-			return total, ctx.Err()
 		}
-		<-sem
+	}, func(res homeResult) error {
 		if res.err != nil {
-			return total, res.err
+			return res.err
 		}
 		if err := total.Merge(res.agg); err != nil {
-			return total, err
+			return err
 		}
+		done++
 		homeDur.ObserveDuration(res.dur)
-		homesDone.Set(float64(i + 1))
+		homesDone.Set(float64(done))
 		if sz := total.SizeBytes(); sz > highWater {
 			highWater = sz
 			aggHighWater.Set(float64(sz))
 		}
 		if cfg.Progress != nil {
-			cfg.Progress(i+1, len(specs))
+			cfg.Progress(done, len(specs))
 		}
-	}
-	return total, nil
+		return nil
+	})
+	return total, err
 }

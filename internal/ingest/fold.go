@@ -107,12 +107,12 @@ func (s *Source) foldPass(sink experiments.FoldSink) (ctl, idle experiments.Stat
 	}
 
 	var runs []foldedRun
-	decodePass(s, foldFile, func(out fileOut) {
+	for _, out := range decodePass(s, foldFile) {
 		addReport(&s.report, out.report)
 		addStats(&ctl, out.ctl)
 		addStats(&idle, out.idle)
 		runs = append(runs, out.runs...)
-	})
+	}
 	s.publishReport()
 
 	// Merge in campaign order: the controlled leg completely, then the

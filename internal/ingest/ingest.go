@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +19,7 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/par"
 	"github.com/neu-sns/intl-iot-go/internal/pcapio"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -355,15 +355,15 @@ func (s *Source) dispatchOrder() []string {
 func (s *Source) loadBuffered() {
 	decodeH := s.metrics.Histogram("ingest_file_decode_seconds", obs.DurationBuckets)
 	var all []*entry
-	decodePass(s, func(rel string) fileResult {
+	for _, res := range decodePass(s, func(rel string) fileResult {
 		t0 := time.Now()
 		res := s.parseFile(rel)
 		decodeH.ObserveDuration(time.Since(t0))
 		return res
-	}, func(res fileResult) {
+	}) {
 		addReport(&s.report, res.report)
 		all = append(all, res.entries...)
-	})
+	}
 	sort.Slice(all, func(i, j int) bool { return all[i].key.less(all[j].key) })
 	for _, e := range all {
 		switch e.exp.Kind {
@@ -376,42 +376,15 @@ func (s *Source) loadBuffered() {
 	s.publishReport()
 }
 
-// decodePass is the one decode pass both shapes make: it hands every
-// capture file, in dispatch order, to decode on a bounded worker pool
-// and passes each result to collect on the calling goroutine.
-func decodePass[R any](s *Source, decode func(rel string) R, collect func(R)) {
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.files) {
-		workers = len(s.files)
-	}
+// decodePass is the one decode pass both shapes make: it decodes every
+// capture file on a bounded worker pool, handing files out in dispatch
+// order, and returns the results in that same order, one slot per file.
+func decodePass[R any](s *Source, decode func(rel string) R) []R {
 	s.metrics.Counter("ingest_decode_passes_total").Inc()
-
-	next := make(chan string)
-	results := make(chan R)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rel := range next {
-				results <- decode(rel)
-			}
-		}()
-	}
-	go func() {
-		for _, rel := range s.dispatchOrder() {
-			next <- rel
-		}
-		close(next)
-		wg.Wait()
-		close(results)
-	}()
-	for res := range results {
-		collect(res)
-	}
+	files := s.dispatchOrder()
+	out := make([]R, len(files))
+	par.For(len(files), par.Workers(s.opts.Workers), func(i int) { out[i] = decode(files[i]) })
+	return out
 }
 
 // addReport folds one per-file report into a running total.
