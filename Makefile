@@ -43,12 +43,12 @@ racecore:
 # harness, the forest-training and collector-stage (Pipeline.Run)
 # benchmarks that record the parallel speedup, the
 # fleet synthesis throughput, the sketch merge/ingest hot paths, the
-# multi-metric entropy family and the PII scan over ciphertext and
-# plaintext payloads.
+# multi-metric entropy family, the PII scan over ciphertext and
+# plaintext payloads, and synthesized plaintext payloads.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/ml ./internal/analysis \
 		./internal/fleet ./internal/sketch ./internal/reshape ./internal/entropy \
-		./internal/dataset ./internal/pii
+		./internal/dataset ./internal/pii ./internal/devices
 
 # Perf regression gate: single-decode streaming must hold the checked-in
 # fraction of buffered throughput on the tiny export (floor in
@@ -56,12 +56,13 @@ bench:
 perfguard:
 	MONIOTR_PERFGUARD=1 $(GO) test -run TestStreamingThroughputFloor -count=1 -v .
 
-# Run every fuzzer briefly: the pcap parsers and the PII scanner's
-# differential check against its strings.ToLower reference. The seed
-# corpus plus a few seconds of mutation catches framing and case-folding
-# regressions without CI-scale cost.
+# Run every fuzzer briefly: the pcap parsers, the PII scanner's
+# differential check against its strings.ToLower reference, and the CART
+# grower's differential check against its map-keyed reference. The seed
+# corpus plus a few seconds of mutation catches framing, case-folding
+# and split-search regressions without CI-scale cost.
 fuzz:
-	@for p in ./internal/pcapio ./internal/pii; do \
+	@for p in ./internal/pcapio ./internal/pii ./internal/ml; do \
 		for f in $$($(GO) test $$p -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "fuzzing $$p $$f"; \
 			$(GO) test $$p -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \

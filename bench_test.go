@@ -227,11 +227,12 @@ func BenchmarkAblationEntropyThresholds(b *testing.B) {
 	}
 	b.ResetTimer()
 	results := make(map[string][4]int)
+	var cls entropy.Classifier
 	for i := 0; i < b.N; i++ {
 		for _, th := range variants {
 			var counts [4]int
 			for _, f := range flows {
-				counts[entropy.ClassifyFlow(f, th).Class]++
+				counts[cls.Classify(f, th).Class]++
 			}
 			results[fmt.Sprintf("%.2f/%.2f", th.Unencrypted, th.Encrypted)] = counts
 		}

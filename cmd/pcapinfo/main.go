@@ -106,8 +106,9 @@ func main() {
 
 	flows := netx.AssembleFlows(pkts)
 	fmt.Printf("%d flows\n", len(flows))
+	var cls entropy.Classifier
 	for _, fl := range flows {
-		v := entropy.ClassifyFlow(fl, entropy.PaperThresholds)
+		v := cls.Classify(fl, entropy.PaperThresholds)
 		fmt.Printf("  %-46s %4d pkts %8d B  %-11s (%s)\n",
 			fl.Key, len(fl.Packets), fl.TotalWireBytes(), v.Class, v.Method)
 	}

@@ -37,13 +37,14 @@ func main() {
 	ds := &ml.Dataset{FeatureNames: features.Names(features.SetPaper)}
 	clock := testbed.StudyEpoch
 	encryptedBytes, totalBytes := 0, 0
+	var cls entropy.Classifier
 	train := func(exp *testbed.Experiment) {
 		wan := testbed.WANView(lab, exp) // the ISP's vantage point
 		ds.Features = append(ds.Features, features.Vector(wan, features.SetPaper))
 		ds.Labels = append(ds.Labels, exp.Activity)
 		clock = exp.End.Add(15 * time.Second)
 		for _, f := range netx.AssembleFlows(wan) {
-			v := entropy.ClassifyFlow(f, entropy.PaperThresholds)
+			v := cls.Classify(f, entropy.PaperThresholds)
 			totalBytes += f.TotalWireBytes()
 			if v.Class == entropy.ClassEncrypted {
 				encryptedBytes += f.TotalWireBytes()

@@ -82,8 +82,10 @@ type EncCollector struct {
 	metricSums  map[metricKey][4]int64
 	metricFlows map[metricKey]int64
 
-	// scratch recycles flow-assembly state across Visit calls.
-	scratch netx.FlowScratch
+	// scratch and classify recycle flow-assembly state and head-payload
+	// buffers across Visit calls.
+	scratch  netx.FlowScratch
+	classify entropy.Classifier
 }
 
 type metricKey struct {
@@ -154,7 +156,7 @@ func (c *EncCollector) Visit(exp *testbed.Experiment) {
 		if isLANAddr(f.Responder.Addr) {
 			continue // the encryption analysis covers Internet traffic only
 		}
-		v := entropy.ClassifyFlow(f, c.Thresholds)
+		v := c.classify.Classify(f, c.Thresholds)
 		b := bucketOf(v.Class)
 		perExp[b] += int64(f.TotalWireBytes())
 		if v.Method != "empty" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/neu-sns/intl-iot-go/internal/entropy"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
@@ -172,8 +173,10 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 		u.idle = append(u.idle, segmentIdle(exp, u.p.Content.FeatureSet))
 		u.lap(stepDetector, t)
 	}
-	// The flow scratches would pin this experiment's packets until merge.
+	// The flow scratches would pin this experiment's packets, and the
+	// classifier its head-payload buffers, until merge.
 	u.dest.scratch, u.enc.scratch = netx.FlowScratch{}, netx.FlowScratch{}
+	u.enc.classify = entropy.Classifier{}
 	exp.Done()
 }
 

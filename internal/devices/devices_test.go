@@ -247,7 +247,7 @@ func TestWireClassifications(t *testing.T) {
 		var got *entropy.FlowVerdict
 		for _, f := range flows {
 			if f.Responder.Port == ep.Port && f.TotalPayload() > 0 {
-				v := entropy.ClassifyFlow(f, entropy.PaperThresholds)
+				v := new(entropy.Classifier).Classify(f, entropy.PaperThresholds)
 				got = &v
 				break
 			}

@@ -2,6 +2,7 @@ package devices
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/faults"
@@ -430,29 +431,59 @@ func (g *Gen) textualPayload(size int, leak string, first bool) []byte {
 	if size < 16 {
 		size = 16
 	}
-	msg := fmt.Sprintf("cmd=status&seq=%d&state=on&rssi=-%d&uptime=%d&",
-		g.Env.Rng.Intn(10000), 30+g.Env.Rng.Intn(40), g.Env.Rng.Intn(100000))
+	return g.appendTextual(make([]byte, 0, size), size, leak, first)
+}
+
+// appendTextual appends a textual message of exactly size bytes to dst,
+// which must have room for them: a status header whose three fields are
+// drawn first, then "padN=D&" terms, where N is the message length before
+// the term, until size bytes are filled; whatever overruns size is cut.
+func (g *Gen) appendTextual(dst []byte, size int, leak string, first bool) []byte {
+	seq := g.Env.Rng.Intn(10000)
+	rssi := 30 + g.Env.Rng.Intn(40)
+	uptime := g.Env.Rng.Intn(100000)
+	msg := dst[len(dst) : len(dst) : len(dst)+size]
 	if first && leak != "" {
-		msg = leak + "&" + msg
+		msg = appendUpTo(msg, leak)
+		msg = appendUpTo(msg, "&")
 	}
+	var term [64]byte
+	t := append(term[:0], "cmd=status&seq="...)
+	t = strconv.AppendInt(t, int64(seq), 10)
+	t = append(t, "&state=on&rssi=-"...)
+	t = strconv.AppendInt(t, int64(rssi), 10)
+	t = append(t, "&uptime="...)
+	t = strconv.AppendInt(t, int64(uptime), 10)
+	t = append(t, '&')
+	msg = appendUpTo(msg, t)
 	for len(msg) < size {
-		msg += fmt.Sprintf("pad%d=%d&", len(msg), g.Env.Rng.Intn(10))
+		t = append(term[:0], "pad"...)
+		t = strconv.AppendInt(t, int64(len(msg)), 10)
+		t = append(t, '=')
+		t = strconv.AppendInt(t, int64(g.Env.Rng.Intn(10)), 10)
+		t = append(t, '&')
+		msg = appendUpTo(msg, t)
 	}
-	return []byte(msg[:size])
+	return dst[:len(dst)+size]
+}
+
+// appendUpTo appends as much of b as fits in dst's capacity.
+func appendUpTo[B string | []byte](dst []byte, b B) []byte {
+	return append(dst, b[:min(len(b), cap(dst)-len(dst))]...)
 }
 
 // mixedPayload is three-quarters textual, one-quarter random: its byte
 // entropy lands in the paper's "unknown" band (0.4–0.8), modelling
 // partly-encrypted proprietary protocols (§5.2's hubs/appliances
-// observation).
+// observation). Both parts fill one buffer; the random quarter is at
+// least 8 bytes, randomPayload's minimum.
 func (g *Gen) mixedPayload(size int, leak string, first bool) []byte {
 	if size < 32 {
 		size = 32
 	}
-	textLen := size * 3 / 4
-	head := g.textualPayload(textLen, leak, first)
-	tail := g.randomPayload(size - len(head))
-	return append(head, tail...)
+	msg := g.appendTextual(make([]byte, 0, size), size*3/4, leak, first)
+	g.Env.Rng.Read(msg[len(msg):size])
+	return msg[:size]
 }
 
 func (g *Gen) drawCount(s Signature) int {

@@ -20,33 +20,42 @@ type FlowVerdict struct {
 	Metrics Metrics
 }
 
-// ClassifyFlow reproduces the paper's per-flow pipeline:
+// headLimit caps the head payload read from each direction of a flow.
+const headLimit = 4096
+
+// Classifier runs the paper's per-flow pipeline. Its zero value is ready
+// to use; it refills the same head-payload buffers on every call, so one
+// Classifier must not be used by two goroutines at once.
+type Classifier struct {
+	up, down []byte
+}
+
+// Classify reproduces the paper's per-flow pipeline over the first
+// headLimit payload bytes of each direction:
 //
 //  1. Wireshark-style protocol identification: TLS and QUIC are
 //     encrypted; DNS, NTP and HTTP with textual bodies are unencrypted.
 //  2. Known encodings (media/compression magic) are unencrypted media.
 //  3. Otherwise classify by normalized byte entropy of the payload.
-func ClassifyFlow(f *netx.Flow, t Thresholds) FlowVerdict {
-	up := f.PayloadUp(4096)
-	down := f.PayloadDown(4096)
-	v := classifyPayloads(f, t, up, down)
-	if v.Method != "empty" {
-		v.Metrics = MeasureMetrics2(up, down)
+//
+// One 256-bin histogram over both heads yields the printable share, the
+// entropy thresholds' input and the verdict's metric family.
+func (c *Classifier) Classify(f *netx.Flow, t Thresholds) FlowVerdict {
+	c.up, c.down = f.AppendHeads(c.up[:0], c.down[:0], headLimit)
+	up, down := c.up, c.down
+	if len(up) == 0 && len(down) == 0 {
+		return FlowVerdict{Class: ClassUnknown, Method: "empty"}
 	}
+	var counts [256]int
+	ms := metricsFromCounts(&counts, histogram(&counts, up, down))
+	v := classifyHeads(f, t, up, down, &counts, ms)
+	v.Metrics = ms
 	return v
 }
 
-// classifyPayloads runs the decision pipeline over the extracted head
-// payloads; ClassifyFlow adds the metric family afterwards.
-func classifyPayloads(f *netx.Flow, t Thresholds, up, down []byte) FlowVerdict {
-	head := up
-	if len(head) == 0 {
-		head = down
-	}
-	if len(head) == 0 {
-		return FlowVerdict{Class: ClassUnknown, Method: "empty"}
-	}
-
+// classifyHeads runs the pipeline over non-empty head payloads, given
+// their combined byte histogram and its metric family.
+func classifyHeads(f *netx.Flow, t Thresholds, up, down []byte, counts *[256]int, ms Metrics) FlowVerdict {
 	// Step 1: protocol identification.
 	if tlsmsg.LooksLikeTLS(up) || tlsmsg.LooksLikeTLS(down) {
 		return FlowVerdict{Class: ClassEncrypted, Method: "tls"}
@@ -83,12 +92,15 @@ func classifyPayloads(f *netx.Flow, t Thresholds, up, down []byte) FlowVerdict {
 	}
 
 	// Step 3: entropy over the combined payload.
-	all := append(append([]byte(nil), up...), down...)
-	if IsMostlyPrintable(all, 0.95) {
+	n := len(up) + len(down)
+	if mostlyPrintable(counts, n, 0.95) {
 		return FlowVerdict{Class: ClassUnencrypted, Method: "printable"}
 	}
-	v := FlowVerdict{Class: t.ClassifyEntropy(all), Method: "entropy", Entropy: Shannon(all)}
-	return v
+	class := ClassUnknown
+	if n >= t.MinPayload {
+		class = t.bucket(ms.Get(t.Metric))
+	}
+	return FlowVerdict{Class: class, Method: "entropy", Entropy: ms.Shannon}
 }
 
 func isQUIC(f *netx.Flow, up []byte) bool {

@@ -84,12 +84,14 @@ func (t Thresholds) ClassifyEntropy(b []byte) Class {
 	if len(b) < t.MinPayload {
 		return ClassUnknown
 	}
-	var h float64
 	if t.Metric == MetricShannon {
-		h = Shannon(b)
-	} else {
-		h = MeasureMetrics(b).Get(t.Metric)
+		return t.bucket(Shannon(b))
 	}
+	return t.bucket(MeasureMetrics(b).Get(t.Metric))
+}
+
+// bucket applies the cut points to one metric value.
+func (t Thresholds) bucket(h float64) Class {
 	switch {
 	case h > t.Encrypted:
 		return ClassEncrypted
@@ -141,14 +143,19 @@ func DetectEncoding(b []byte) (string, bool) {
 // or common whitespace — a strong plaintext signal used as a cheap
 // pre-filter before entropy.
 func IsMostlyPrintable(b []byte, frac float64) bool {
-	if len(b) == 0 {
+	var counts [256]int
+	return mostlyPrintable(&counts, histogram(&counts, b), frac)
+}
+
+// mostlyPrintable applies IsMostlyPrintable's rule to a byte histogram
+// of n bytes.
+func mostlyPrintable(counts *[256]int, n int, frac float64) bool {
+	if n == 0 {
 		return false
 	}
-	printable := 0
-	for _, c := range b {
-		if (c >= 0x20 && c < 0x7f) || c == '\n' || c == '\r' || c == '\t' {
-			printable++
-		}
+	printable := counts['\t'] + counts['\n'] + counts['\r']
+	for _, c := range counts[0x20:0x7f] {
+		printable += c
 	}
-	return float64(printable)/float64(len(b)) >= frac
+	return float64(printable)/float64(n) >= frac
 }

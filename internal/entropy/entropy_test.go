@@ -103,6 +103,13 @@ func TestIsMostlyPrintable(t *testing.T) {
 	if IsMostlyPrintable(nil, 0.5) {
 		t.Error("empty should not be printable")
 	}
+	// The printable set is exactly 0x20–0x7e plus tab, LF and CR.
+	for c := 0; c < 256; c++ {
+		want := (c >= 0x20 && c < 0x7f) || c == '\t' || c == '\n' || c == '\r'
+		if got := IsMostlyPrintable([]byte{byte(c)}, 1); got != want {
+			t.Errorf("byte %#x printable = %v, want %v", c, got, want)
+		}
+	}
 }
 
 func TestClassString(t *testing.T) {
@@ -157,7 +164,7 @@ func mkFlow(t *testing.T, proto uint8, dstPort uint16, up, down []byte) *netx.Fl
 func TestClassifyFlowTLS(t *testing.T) {
 	ch := &tlsmsg.ClientHello{ServerName: "api.example.com"}
 	f := mkFlow(t, netx.ProtoTCP, 443, ch.Marshal(), nil)
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Class != ClassEncrypted || v.Method != "tls" {
 		t.Errorf("verdict: %+v", v)
 	}
@@ -167,7 +174,7 @@ func TestClassifyFlowHTTP(t *testing.T) {
 	f := mkFlow(t, netx.ProtoTCP, 80,
 		[]byte("GET /state HTTP/1.1\r\nHost: dev.local\r\n\r\n"),
 		[]byte("HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\non"))
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Class != ClassUnencrypted || v.Method != "http" {
 		t.Errorf("verdict: %+v", v)
 	}
@@ -178,7 +185,7 @@ func TestClassifyFlowHTTPMediaBody(t *testing.T) {
 	resp := []byte("HTTP/1.1 200 OK\r\nContent-Type: image/jpeg\r\n\r\n")
 	resp = append(resp, body...)
 	f := mkFlow(t, netx.ProtoTCP, 80, []byte("GET /snap.jpg HTTP/1.1\r\nHost: cam\r\n\r\n"), resp)
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Class != ClassMedia {
 		t.Errorf("verdict: %+v", v)
 	}
@@ -186,13 +193,13 @@ func TestClassifyFlowHTTPMediaBody(t *testing.T) {
 
 func TestClassifyFlowDNSAndNTP(t *testing.T) {
 	f := mkFlow(t, netx.ProtoUDP, 53, []byte{0x12, 0x34, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}, nil)
-	if v := ClassifyFlow(f, PaperThresholds); v.Class != ClassUnencrypted || v.Method != "dns" {
+	if v := new(Classifier).Classify(f, PaperThresholds); v.Class != ClassUnencrypted || v.Method != "dns" {
 		t.Errorf("dns verdict: %+v", v)
 	}
 	ntp := make([]byte, 48)
 	ntp[0] = 0x1b
 	f = mkFlow(t, netx.ProtoUDP, 123, ntp, nil)
-	if v := ClassifyFlow(f, PaperThresholds); v.Class != ClassUnencrypted || v.Method != "ntp" {
+	if v := new(Classifier).Classify(f, PaperThresholds); v.Class != ClassUnencrypted || v.Method != "ntp" {
 		t.Errorf("ntp verdict: %+v", v)
 	}
 }
@@ -203,7 +210,7 @@ func TestClassifyFlowQUIC(t *testing.T) {
 	rng.Read(payload)
 	payload[0] = 0xc3 // long header
 	f := mkFlow(t, netx.ProtoUDP, 443, payload, nil)
-	if v := ClassifyFlow(f, PaperThresholds); v.Class != ClassEncrypted || v.Method != "quic" {
+	if v := new(Classifier).Classify(f, PaperThresholds); v.Class != ClassEncrypted || v.Method != "quic" {
 		t.Errorf("quic verdict: %+v", v)
 	}
 }
@@ -214,7 +221,7 @@ func TestClassifyFlowEntropyFallback(t *testing.T) {
 	rng.Read(payload)
 	payload[0] = 0x00 // avoid QUIC/TLS detection on TCP port 8883
 	f := mkFlow(t, netx.ProtoTCP, 8883, payload, nil)
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Class != ClassEncrypted || v.Method != "entropy" {
 		t.Errorf("verdict: %+v", v)
 	}
@@ -226,7 +233,7 @@ func TestClassifyFlowEntropyFallback(t *testing.T) {
 func TestClassifyFlowEmpty(t *testing.T) {
 	f := mkFlow(t, netx.ProtoTCP, 443, []byte{}, nil)
 	// zero-length payload packet still creates a flow with no bytes
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Method != "empty" {
 		t.Errorf("verdict: %+v", v)
 	}
@@ -235,8 +242,52 @@ func TestClassifyFlowEmpty(t *testing.T) {
 func TestClassifyFlowMediaMagic(t *testing.T) {
 	stream := append([]byte{0x00, 0x00, 0x00, 0x18, 'f', 't', 'y', 'p'}, bytes.Repeat([]byte{9, 91, 182}, 100)...)
 	f := mkFlow(t, netx.ProtoTCP, 8554, stream, nil)
-	v := ClassifyFlow(f, PaperThresholds)
+	v := new(Classifier).Classify(f, PaperThresholds)
 	if v.Class != ClassMedia {
 		t.Errorf("verdict: %+v", v)
+	}
+}
+
+// TestClassifierReuseAndHistogram classifies a mix of flows with one
+// reused Classifier and checks every verdict against a fresh Classifier
+// and against the per-direction payload copies: the metric family equals
+// MeasureMetrics2 over them and the entropy verdict's Shannon value
+// equals Shannon over their concatenation, bit for bit.
+func TestClassifierReuseAndHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		b[0] = 0x00 // keep TLS/QUIC/magic detection out of the way
+		return b
+	}
+	text := bytes.Repeat([]byte("state=on&rssi=-42&"), 300) // 5,400 bytes: past the head cap
+	mixed := append(bytes.Repeat([]byte("k=v&"), 90), random(120)...)
+	flows := []*netx.Flow{
+		mkFlow(t, netx.ProtoTCP, 8883, random(5000), random(300)),
+		mkFlow(t, netx.ProtoTCP, 8883, text, nil),
+		mkFlow(t, netx.ProtoTCP, 8883, mixed, mixed[:40]),
+		mkFlow(t, netx.ProtoTCP, 8883, random(10), nil),
+		mkFlow(t, netx.ProtoUDP, 9999, nil, random(700)),
+		mkFlow(t, netx.ProtoTCP, 443, []byte{}, nil),
+	}
+	var reused Classifier
+	for i, f := range flows {
+		got := reused.Classify(f, PaperThresholds)
+		if want := new(Classifier).Classify(f, PaperThresholds); got != want {
+			t.Errorf("flow %d: reused classifier %+v, fresh %+v", i, got, want)
+		}
+		if got.Method == "empty" {
+			continue
+		}
+		up, down := f.PayloadUp(4096), f.PayloadDown(4096)
+		if want := MeasureMetrics2(up, down); got.Metrics != want {
+			t.Errorf("flow %d: metrics %+v, want %+v", i, got.Metrics, want)
+		}
+		if got.Method == "entropy" {
+			if want := Shannon(append(append([]byte(nil), up...), down...)); got.Entropy != want {
+				t.Errorf("flow %d: entropy %v, want %v", i, got.Entropy, want)
+			}
+		}
 	}
 }

@@ -106,8 +106,8 @@ func MeasureMetrics(b []byte) Metrics {
 }
 
 // MeasureMetrics2 computes the family over the concatenation of two
-// payload slices without concatenating them; the flow classifier uses it
-// on (up, down) head payloads.
+// payload slices, such as a flow's (up, down) head payloads, without
+// concatenating them.
 func MeasureMetrics2(a, b []byte) Metrics {
 	var counts [256]int
 	return metricsFromCounts(&counts, histogram(&counts, a, b))

@@ -82,8 +82,8 @@ func TestMetricsConsistency(t *testing.T) {
 	}
 }
 
-// MeasureMetrics2 is the zero-concatenation form the flow classifier
-// uses; it must equal the family over the actual concatenation.
+// MeasureMetrics2 is the zero-concatenation form; it must equal the
+// family over the actual concatenation.
 func TestMeasureMetrics2MatchesConcat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	up := make([]byte, 777)

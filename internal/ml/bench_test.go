@@ -14,6 +14,7 @@ func BenchmarkTrainForest(b *testing.B) {
 	ds := synthMulticlass(400, 12, 6, 7)
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				TrainForest(ds, ForestConfig{NumTrees: 40, Seed: 42, Workers: w})
 			}

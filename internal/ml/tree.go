@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -21,167 +22,235 @@ type TreeConfig struct {
 // DefaultTreeConfig mirrors common CART defaults.
 var DefaultTreeConfig = TreeConfig{MaxDepth: 24, MinSamplesSplit: 2}
 
-// node is one tree node; leaves have feature == -1.
+// node is one tree node. Internal nodes send x left when
+// x[feature] <= threshold; leaves have feature == -1 and carry only the
+// majority class of the training rows that reached them.
 type node struct {
 	feature   int
 	threshold float64
 	left      *node
 	right     *node
-	// leaf payload
-	class string
-	votes map[string]int
+	class     string
 }
 
 // Tree is a trained CART classifier.
 type Tree struct {
-	root    *node
-	classes []string
+	root *node
 }
 
 // TrainTree fits a CART tree on d. The rng drives feature subsampling
 // when cfg.FeatureSubset > 0; it may be nil when FeatureSubset == 0.
+//
+// Labels are coded once as indexes into the sorted class list, so every
+// vote count is an integer slice and each candidate threshold updates
+// the Gini sums in O(1). Splits maximize the Gini decrease, ties keep
+// the first candidate in (feature, threshold) order, and a leaf takes
+// its most frequent class, ties going to the lexicographically smallest
+// label; an empty dataset yields a single leaf of class "".
 func TrainTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
 	if cfg.MinSamplesSplit < 2 {
 		cfg.MinSamplesSplit = 2
 	}
-	idx := make([]int, d.NumExamples())
+	n := d.NumExamples()
+	g := &grower{d: d, cfg: cfg, rng: rng}
+	g.classes, g.codes = codeLabels(d.Labels)
+	k := len(g.classes)
+	g.counts = make([]int, k)
+	g.left = make([]int, k)
+	g.right = make([]int, k)
+	g.vals = make([]valCode, n)
+	g.spill = make([]int, n)
+	g.features = make([]int, d.NumFeatures())
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	t := &Tree{classes: d.Classes()}
-	t.root = grow(d, idx, cfg, rng, 0)
-	return t
+	return &Tree{root: g.grow(idx, 0)}
 }
 
-func grow(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, depth int) *node {
-	votes := countVotes(d, idx)
-	if len(votes) == 1 ||
-		len(idx) < cfg.MinSamplesSplit ||
-		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
-		return leaf(votes)
-	}
-	feat, thr, gain := bestSplit(d, idx, cfg, rng)
-	if feat < 0 || gain <= cfg.MinImpurityDecrease {
-		return leaf(votes)
-	}
-	var left, right []int
-	for _, i := range idx {
-		if d.Features[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+// codeLabels returns the sorted distinct labels and each label's index
+// in that list.
+func codeLabels(labels []string) ([]string, []int) {
+	index := make(map[string]int)
+	var classes []string
+	for _, l := range labels {
+		if _, ok := index[l]; !ok {
+			index[l] = 0
+			classes = append(classes, l)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return leaf(votes)
+	sort.Strings(classes)
+	for i, c := range classes {
+		index[c] = i
+	}
+	codes := make([]int, len(labels))
+	for i, l := range labels {
+		codes[i] = index[l]
+	}
+	return classes, codes
+}
+
+// grower holds one tree's training state. Every buffer is sized once
+// per tree and reused by each node.
+type grower struct {
+	d   *Dataset
+	cfg TreeConfig
+	rng *rand.Rand
+
+	classes []string // sorted distinct labels
+	codes   []int    // class index of each example
+
+	counts      []int     // per-class votes of the node being grown
+	left, right []int     // per-class votes either side of a threshold
+	vals        []valCode // one feature's (value, class) pairs
+	spill       []int     // right-hand rows while partitioning
+	features    []int     // candidate features of one split
+}
+
+type valCode struct {
+	v float64
+	c int
+}
+
+// byValue orders by feature value alone: gains are evaluated only
+// between distinct values, so the order among equal values cannot change
+// any gain.
+func byValue(a, b valCode) int {
+	if a.v < b.v {
+		return -1
+	}
+	if a.v > b.v {
+		return 1
+	}
+	return 0
+}
+
+// grow builds the subtree over the rows idx, which it may reorder.
+func (g *grower) grow(idx []int, depth int) *node {
+	counts := g.counts
+	clear(counts)
+	for _, i := range idx {
+		counts[g.codes[i]]++
+	}
+	best, distinct := -1, 0
+	var sumSq int64
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		distinct++
+		sumSq += int64(n) * int64(n)
+		if best < 0 || n > counts[best] {
+			best = c
+		}
+	}
+	leaf := &node{feature: -1}
+	if best >= 0 {
+		leaf.class = g.classes[best]
+	}
+	if distinct == 1 ||
+		len(idx) < g.cfg.MinSamplesSplit ||
+		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+		return leaf
+	}
+	feat, thr, gain := g.bestSplit(idx, sumSq)
+	if feat < 0 || gain <= g.cfg.MinImpurityDecrease {
+		return leaf
+	}
+	nl := g.partition(idx, feat, thr)
+	if nl == 0 || nl == len(idx) {
+		return leaf
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      grow(d, left, cfg, rng, depth+1),
-		right:     grow(d, right, cfg, rng, depth+1),
+		left:      g.grow(idx[:nl], depth+1),
+		right:     g.grow(idx[nl:], depth+1),
 	}
 }
 
-func leaf(votes map[string]int) *node {
-	best, bestN := "", -1
-	// Deterministic tie-break by label order.
-	keys := make([]string, 0, len(votes))
-	for k := range votes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if votes[k] > bestN {
-			best, bestN = k, votes[k]
+// partition stably moves the rows with x[feat] <= thr to the front of
+// idx and returns their count.
+func (g *grower) partition(idx []int, feat int, thr float64) int {
+	nl, nr := 0, 0
+	for _, i := range idx {
+		if g.d.Features[i][feat] <= thr {
+			idx[nl] = i
+			nl++
+		} else {
+			g.spill[nr] = i
+			nr++
 		}
 	}
-	return &node{feature: -1, class: best, votes: votes}
+	copy(idx[nl:], g.spill[:nr])
+	return nl
 }
 
-func countVotes(d *Dataset, idx []int) map[string]int {
-	votes := make(map[string]int)
-	for _, i := range idx {
-		votes[d.Labels[i]]++
-	}
-	return votes
-}
-
-// gini computes the Gini impurity of a vote count. The sum of squared
-// counts is accumulated in integers so the result does not depend on map
-// iteration order (float accumulation order would perturb the low bits
-// and make split selection — and hence whole trees — nondeterministic).
-func gini(votes map[string]int, total int) float64 {
+// gini computes the Gini impurity of a node from the sum of its squared
+// class counts. The sum is an integer, so it does not depend on the order
+// counts were added in.
+func gini(sumSq int64, total int) float64 {
 	if total == 0 {
 		return 0
-	}
-	var sumSq int64
-	for _, c := range votes {
-		sumSq += int64(c) * int64(c)
 	}
 	t := int64(total)
 	return 1 - float64(sumSq)/float64(t*t)
 }
 
 // bestSplit finds the (feature, threshold) pair with maximum Gini
-// decrease. Thresholds are midpoints between consecutive distinct sorted
-// feature values.
-func bestSplit(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (int, float64, float64) {
-	nf := d.NumFeatures()
+// decrease over the rows idx, whose per-class votes are in g.counts with
+// squared sum sumSq. Thresholds are midpoints between consecutive
+// distinct sorted feature values. Moving one row of class c from the
+// right side to the left adds 2·left[c]+1 to the left sum of squares and
+// removes 2·right[c]−1 from the right one.
+func (g *grower) bestSplit(idx []int, sumSq int64) (int, float64, float64) {
+	nf := g.d.NumFeatures()
 	if nf == 0 {
 		return -1, 0, 0
 	}
-	features := make([]int, nf)
+	features := g.features[:nf]
 	for i := range features {
 		features[i] = i
 	}
-	if cfg.FeatureSubset > 0 && cfg.FeatureSubset < nf && rng != nil {
-		rng.Shuffle(nf, func(i, j int) { features[i], features[j] = features[j], features[i] })
-		features = features[:cfg.FeatureSubset]
+	if g.cfg.FeatureSubset > 0 && g.cfg.FeatureSubset < nf && g.rng != nil {
+		g.rng.Shuffle(nf, func(i, j int) { features[i], features[j] = features[j], features[i] })
+		features = features[:g.cfg.FeatureSubset]
 		sort.Ints(features) // determinism of tie-breaks
 	}
 
-	parentVotes := countVotes(d, idx)
-	parentGini := gini(parentVotes, len(idx))
+	nTotal := len(idx)
+	parentGini := gini(sumSq, nTotal)
 	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-
-	type valLabel struct {
-		v     float64
-		label string
-	}
-	vl := make([]valLabel, len(idx))
+	vals := g.vals[:nTotal]
+	left, right := g.left, g.right
 
 	for _, f := range features {
 		for i, j := range idx {
-			vl[i] = valLabel{d.Features[j][f], d.Labels[j]}
+			vals[i] = valCode{g.d.Features[j][f], g.codes[j]}
 		}
-		sort.Slice(vl, func(a, b int) bool { return vl[a].v < vl[b].v })
+		slices.SortFunc(vals, byValue)
 
-		leftVotes := make(map[string]int)
-		rightVotes := make(map[string]int)
-		for _, e := range vl {
-			rightVotes[e.label]++
-		}
-		nLeft := 0
-		nTotal := len(vl)
+		clear(left)
+		copy(right, g.counts)
+		sumL, sumR := int64(0), sumSq
 		for i := 0; i < nTotal-1; i++ {
-			leftVotes[vl[i].label]++
-			rightVotes[vl[i].label]--
-			if rightVotes[vl[i].label] == 0 {
-				delete(rightVotes, vl[i].label)
-			}
-			nLeft++
-			if vl[i].v == vl[i+1].v {
+			c := vals[i].c
+			sumL += int64(2*left[c] + 1)
+			left[c]++
+			sumR -= int64(2*right[c] - 1)
+			right[c]--
+			if vals[i].v == vals[i+1].v {
 				continue // can't split between equal values
 			}
+			nLeft := i + 1
 			nRight := nTotal - nLeft
-			w := float64(nLeft)/float64(nTotal)*gini(leftVotes, nLeft) +
-				float64(nRight)/float64(nTotal)*gini(rightVotes, nRight)
+			w := float64(nLeft)/float64(nTotal)*gini(sumL, nLeft) +
+				float64(nRight)/float64(nTotal)*gini(sumR, nRight)
 			gain := parentGini - w
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThr = (vl[i].v + vl[i+1].v) / 2
+				bestThr = (vals[i].v + vals[i+1].v) / 2
 			}
 		}
 	}

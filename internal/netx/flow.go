@@ -108,6 +108,40 @@ func (f *Flow) payloadDir(limit int, up bool) []byte {
 	return out
 }
 
+// AppendHeads appends the flow's initiator→responder and
+// responder→initiator payload bytes to up and down in one walk over the
+// packets, each direction capped at limit bytes (limit<=0 means no cap).
+// The appended bytes equal PayloadUp(limit) and PayloadDown(limit).
+func (f *Flow) AppendHeads(up, down []byte, limit int) ([]byte, []byte) {
+	upEnd, downEnd := -1, -1
+	if limit > 0 {
+		upEnd, downEnd = len(up)+limit, len(down)+limit
+	}
+	for _, p := range f.Packets {
+		if len(p.Payload) == 0 {
+			continue
+		}
+		if f.packetIsUp(p) {
+			up = appendCapped(up, p.Payload, upEnd)
+		} else {
+			down = appendCapped(down, p.Payload, downEnd)
+		}
+		if len(up) == upEnd && len(down) == downEnd {
+			break
+		}
+	}
+	return up, down
+}
+
+// appendCapped appends b to dst without growing it past end bytes; a
+// negative end means no cap.
+func appendCapped(dst, b []byte, end int) []byte {
+	if end >= 0 && len(b) > end-len(dst) {
+		b = b[:end-len(dst)]
+	}
+	return append(dst, b...)
+}
+
 func (f *Flow) packetIsUp(p *Packet) bool {
 	src, ok := p.NetworkSrc()
 	if !ok {

@@ -101,3 +101,26 @@ func TestAssembleFlows(t *testing.T) {
 		t.Fatalf("flows = %d", len(flows))
 	}
 }
+
+// TestAppendHeadsMatchesPayloadDirs requires AppendHeads to append what
+// PayloadUp and PayloadDown return, for caps below, inside and past
+// packet boundaries, after whatever the buffers already hold.
+func TestAppendHeadsMatchesPayloadDirs(t *testing.T) {
+	tbl := NewFlowTable()
+	up, down := []string{"req1", "", "request-two", "r3"}, []string{"resp1long", "", "x", "response-four"}
+	for i := range up {
+		ts := testTime.Add(time.Duration(i) * time.Millisecond)
+		tbl.Add(flowPacket(ts, "192.168.10.15", "52.1.2.3", 49152, 443, []byte(up[i])))
+		tbl.Add(flowPacket(ts, "52.1.2.3", "192.168.10.15", 443, 49152, []byte(down[i])))
+	}
+	f := tbl.Flows()[0]
+	for limit := -1; limit <= 30; limit++ {
+		gotUp, gotDown := f.AppendHeads([]byte("u:"), []byte("d:"), limit)
+		if want := append([]byte("u:"), f.PayloadUp(limit)...); !bytes.Equal(gotUp, want) {
+			t.Errorf("limit %d: up %q, want %q", limit, gotUp, want)
+		}
+		if want := append([]byte("d:"), f.PayloadDown(limit)...); !bytes.Equal(gotDown, want) {
+			t.Errorf("limit %d: down %q, want %q", limit, gotDown, want)
+		}
+	}
+}

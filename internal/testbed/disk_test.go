@@ -54,8 +54,8 @@ func TestDiskRoundTripPreservesAnalysis(t *testing.T) {
 		t.Fatalf("flows: %d vs %d", len(liveFlows), len(diskFlows))
 	}
 	for i := range liveFlows {
-		lv := entropy.ClassifyFlow(liveFlows[i], entropy.PaperThresholds)
-		dv := entropy.ClassifyFlow(diskFlows[i], entropy.PaperThresholds)
+		lv := new(entropy.Classifier).Classify(liveFlows[i], entropy.PaperThresholds)
+		dv := new(entropy.Classifier).Classify(diskFlows[i], entropy.PaperThresholds)
 		if lv.Class != dv.Class || lv.Method != dv.Method {
 			t.Errorf("flow %d verdict differs: live %v/%s disk %v/%s",
 				i, lv.Class, lv.Method, dv.Class, dv.Method)
