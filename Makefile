@@ -56,13 +56,14 @@ bench:
 perfguard:
 	MONIOTR_PERFGUARD=1 $(GO) test -run TestStreamingThroughputFloor -count=1 -v .
 
-# Run every fuzzer briefly: the pcap parsers, the PII scanner's
-# differential check against its strings.ToLower reference, and the CART
-# grower's differential check against its map-keyed reference. The seed
-# corpus plus a few seconds of mutation catches framing, case-folding
-# and split-search regressions without CI-scale cost.
+# Run every fuzzer briefly: the pcap parsers, the link-layer frame
+# decoder's serialize round trip, the PII scanner's differential check
+# against its strings.ToLower reference, and the CART grower's
+# differential check against its map-keyed reference. The seed corpus
+# plus a few seconds of mutation catches framing, case-folding and
+# split-search regressions without CI-scale cost.
 fuzz:
-	@for p in ./internal/pcapio ./internal/pii ./internal/ml; do \
+	@for p in ./internal/pcapio ./internal/netx ./internal/pii ./internal/ml; do \
 		for f in $$($(GO) test $$p -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "fuzzing $$p $$f"; \
 			$(GO) test $$p -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \

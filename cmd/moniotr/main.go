@@ -255,7 +255,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "moniotr: %v\n", err)
 			os.Exit(2)
 		}
-		study = intliot.NewStudyFromSource(reshape.Wrap(src, eng))
+		study = intliot.NewStudyFromSource(src)
+		study.SetDefense(eng)
 		if !*skipUncontrolled {
 			fmt.Fprintln(os.Stderr, "moniotr: capture directories carry no user-study campaign; skipping uncontrolled analysis")
 			*skipUncontrolled = true

@@ -28,7 +28,10 @@ func TestExtractDHCPLog(t *testing.T) {
 }
 
 func TestExplainedPowerDetections(t *testing.T) {
-	mac := netx.MustParseMAC("74:da:38:00:00:99")
+	mac, err := netx.ParseMAC("74:da:38:00:00:99")
+	if err != nil {
+		t.Fatal(err)
+	}
 	t0 := testbed.StudyEpoch
 	res := NewDetectResult()
 	res.Detections = []Detection{

@@ -18,13 +18,16 @@ import (
 // contiguous run of a leg folds into a fold unit — a private set of empty
 // collectors — on one worker goroutine, and the units merge into the
 // pipeline's collectors serially, in delivery order, controlled leg
-// first. Two drivers produce the units: a singleDecodeSource
-// (internal/ingest in streaming mode) folds during its one decode pass,
-// and foldReplay folds any other source from its RunControlled/RunIdle
-// stream, each run one job of a par.Ordered pool, which merges runs in
-// submission order with at most 2×workers pending. Every table stays
-// byte-identical to visiting the same stream serially through the public
-// Visit methods, because
+// first. A unit puts each experiment through the pipeline's prep step
+// (prepExp: the defense stack, then the degrade pass) before its
+// collectors visit it, and tallies the defense's change to the wire's
+// packet and byte totals for the merge to sum per leg. Two drivers
+// produce the units: a singleDecodeSource (internal/ingest in streaming
+// mode) folds during its one decode pass, and foldReplay folds any other
+// source from its RunControlled/RunIdle stream, each run one job of a
+// par.Ordered pool, which merges runs in submission order with at most
+// 2×workers pending. Every table stays byte-identical to visiting the
+// same stream serially through the public Visit methods, because
 //
 //   - a unit receives a contiguous slice of the delivery order, in
 //     order, so device-local order-sensitive state (Welch-test samples,
@@ -60,7 +63,8 @@ type singleDecodeSource interface {
 // Collector steps a fold unit times, indexing stepNames: the
 // collector_visits.<name> and collector_visit_ns.<name> suffixes. The
 // idle leg's detector step is segmentation and vectorization; the
-// classification itself runs under the stage:idle span.
+// classification itself runs under the stage:idle span. The degrade step
+// times the whole prep step, defense included.
 const (
 	stepDegrade = iota
 	stepDest
@@ -84,6 +88,8 @@ type foldSink struct {
 	// visits and ns are the collector timing counters, resolved once;
 	// both are nil without a registry.
 	visits, ns [numSteps]*obs.Counter
+	// ctlWire and idleWire sum the merged units' defense deltas per leg.
+	ctlWire, idleWire experiments.Stats
 }
 
 func newFoldSink(p *Pipeline) *foldSink {
@@ -120,8 +126,10 @@ func (s *foldSink) MergeFoldUnit(controlled bool, unit experiments.FoldUnit) {
 	if controlled {
 		p.Content.mergeFold(u.content)
 		p.Identify.mergeFold(u.identify)
+		addWire(&s.ctlWire, u.wire)
 	} else {
 		s.idle = append(s.idle, u.idle...)
+		addWire(&s.idleWire, u.wire)
 	}
 	for i := range stepNames {
 		s.visits[i].Add(u.visits[i])
@@ -141,6 +149,8 @@ type foldUnit struct {
 	identify   *IdentifyCollector
 	// idle captures idle experiments for post-training replay.
 	idle []idleExp
+	// wire sums the defense's packet and byte deltas over the unit.
+	wire experiments.Stats
 	// visits and ns tally the unit's collector calls per step until the
 	// merge flushes them. With timed false (no registry) Fold reads no
 	// clock at all.
@@ -157,7 +167,7 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 	if u.timed {
 		t = time.Now()
 	}
-	u.p.degradeExp(exp)
+	addWire(&u.wire, u.p.prepExp(exp))
 	t = u.lap(stepDegrade, t)
 	u.dest.Visit(exp)
 	t = u.lap(stepDest, t)
@@ -178,6 +188,12 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 	u.dest.scratch, u.enc.scratch = netx.FlowScratch{}, netx.FlowScratch{}
 	u.enc.classify = entropy.Classifier{}
 	exp.Done()
+}
+
+// addWire adds a defense's packet and byte deltas to a leg's statistics.
+func addWire(dst *experiments.Stats, d experiments.Stats) {
+	dst.Packets += d.Packets
+	dst.Bytes += d.Bytes
 }
 
 // lap attributes the time since t0 to step and returns the next lap's

@@ -14,13 +14,21 @@ import (
 // Pipeline bundles every collector and runs the full §4–§7 analysis over
 // a campaign. It is the one-call entry point cmd/moniotr and the
 // benchmarks use. Experiments come from a Source — either the in-process
-// synthesis runner or a capture-directory ingester.
+// synthesis runner or a capture-directory ingester — and pass through
+// one prep step, the defense stack and then the degrade pass, before
+// any collector sees them.
 type Pipeline struct {
 	Source   Source
 	Dest     *DestCollector
 	Enc      *EncCollector
 	Content  *ContentCollector
 	Identify *IdentifyCollector
+
+	// Defense reshapes every experiment, on both fold drivers and the
+	// §7.3 leg, so every analysis measures the defended wire view. nil
+	// (the default) leaves the campaign undefended. Set it before SetObs
+	// and Run.
+	Defense *reshape.Engine
 
 	// Workers bounds the analysis-side parallelism: the goroutines that
 	// fold runs of experiments into fold units (fold.go) and model
@@ -29,7 +37,7 @@ type Pipeline struct {
 	// for any value.
 	Workers int
 
-	// Filled by Run:
+	// Filled by Run. Stats and IdleStats count the wire after Defense.
 	Stats     experiments.Stats
 	IdleStats experiments.Stats
 	Inference []InferenceResult
@@ -76,33 +84,24 @@ func (p *Pipeline) abortIfCanceled() bool {
 }
 
 // Runner returns the synthesis runner when the pipeline's source is one,
-// or nil for capture-replay sources. Defense wrappers (internal/reshape)
-// are unwrapped transparently: the §7.3 uncontrolled analysis and the
-// capture exporter need the runner itself; everything else should go
+// or nil for capture-replay sources. The §7.3 uncontrolled analysis and
+// the capture exporter need the runner itself; everything else should go
 // through Source.
 func (p *Pipeline) Runner() *experiments.Runner {
-	src := any(p.Source)
-	for src != nil {
-		if r, ok := src.(*experiments.Runner); ok {
-			return r
-		}
-		u, ok := src.(interface{ Unwrap() reshape.Stream })
-		if !ok {
-			return nil
-		}
-		src = u.Unwrap()
-	}
-	return nil
+	r, _ := p.Source.(*experiments.Runner)
+	return r
 }
 
-// SetObs attaches a metrics registry to the pipeline and its source. Run
-// then records per-stage wall-time spans (stage:fold, stage:train,
-// stage:idle, and stage:uncontrolled from RunUncontrolled) and
-// per-collector visit counts and cumulative visit time. Call before
-// Run; instrumentation is nil-safe and changes no analysis output.
+// SetObs attaches a metrics registry to the pipeline, its source and its
+// defense engine. Run then records per-stage wall-time spans
+// (stage:fold, stage:train, stage:idle, and stage:uncontrolled from
+// RunUncontrolled) and per-collector visit counts and cumulative visit
+// time. Call before Run; instrumentation is nil-safe and changes no
+// analysis output.
 func (p *Pipeline) SetObs(reg *obs.Registry) {
 	p.metrics = reg
 	p.Source.SetObs(reg)
+	p.Defense.SetObs(reg)
 }
 
 // NewPipeline wires collectors to an experiment source's Internet model.
@@ -148,6 +147,8 @@ func (p *Pipeline) Run(cfg InferConfig) {
 	} else {
 		p.Stats, p.IdleStats = p.foldReplay(sink, workers)
 	}
+	addWire(&p.Stats, sink.ctlWire)
+	addWire(&p.IdleStats, sink.idleWire)
 	span.End()
 	if p.abortIfCanceled() {
 		return
@@ -183,21 +184,32 @@ func (p *Pipeline) RunUncontrolled() {
 	}
 	p.UncontrolledHits = NewDetectResult()
 	p.Unexpected = make(map[string]int)
-	// The uncontrolled leg bypasses the source's RunControlled/RunIdle,
-	// so a defense wrapper must be applied here explicitly: the detector
-	// has to see the same reshaped wire view it trained on.
-	transformer, _ := p.Source.(interface{ TransformExperiment(*testbed.Experiment) })
 	span := p.metrics.StartSpan("stage:uncontrolled")
 	r.RunUncontrolled(func(res *experiments.UncontrolledResult) {
 		if p.canceled() {
 			return
 		}
-		if transformer != nil {
-			transformer.TransformExperiment(res.Experiment)
-		}
-		p.degradeExp(res.Experiment)
+		// The detector must see the same defended view it trained on.
+		p.prepExp(res.Experiment)
 		p.Detector.VisitUncontrolled(res, p.UncontrolledHits, p.Unexpected)
 	})
 	span.End()
 	p.abortIfCanceled()
+}
+
+// prepExp is the one prep step every experiment takes before any
+// collector sees it: the defense stack, when Defense is set, then the
+// degrade pass. It returns the defense's change to the experiment's
+// packet and byte totals, which Run adds to the leg's statistics so
+// they count the defended wire; an undefended pipeline walks no packets
+// for it.
+func (p *Pipeline) prepExp(exp *testbed.Experiment) (wire experiments.Stats) {
+	if p.Defense != nil {
+		p0, b0 := len(exp.Packets), exp.Bytes()
+		p.Defense.Transform(exp)
+		wire.Packets = int64(len(exp.Packets) - p0)
+		wire.Bytes = int64(exp.Bytes() - b0)
+	}
+	p.degradeExp(exp)
+	return wire
 }

@@ -4,7 +4,6 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/cloud"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
-	"github.com/neu-sns/intl-iot-go/internal/reshape"
 )
 
 // Source streams one campaign's labelled experiments through the
@@ -14,7 +13,10 @@ import (
 // buffered whole and replayed through the contract below or, with
 // ingest.Options.Stream, folded into the collectors during its one
 // decode pass. The pipeline folds both the same way (fold.go) — given
-// the same experiment stream all produce byte-identical tables.
+// the same experiment stream all produce byte-identical tables. A
+// source delivers the experiments as emitted; a traffic-reshaping
+// defense is the pipeline's own prep step (Pipeline.Defense), not a
+// property of the source.
 type Source interface {
 	// Internet exposes the (simulated) server side the captures talk
 	// to; the destination analysis needs its org registry and
@@ -32,9 +34,5 @@ type Source interface {
 	SetObs(*obs.Registry)
 }
 
-// Statically assert that the synthesis runner feeds the pipeline, and
-// that a reshape-defended wrapper around any source still does.
-var (
-	_ Source = (*experiments.Runner)(nil)
-	_ Source = (*reshape.Source)(nil)
-)
+// Statically assert that the synthesis runner feeds the pipeline.
+var _ Source = (*experiments.Runner)(nil)

@@ -15,6 +15,16 @@ import (
 
 var synthStart = time.Date(2019, 4, 1, 10, 0, 0, 0, time.UTC)
 
+// mustMAC parses a MAC literal, failing the test on error.
+func mustMAC(t testing.TB, s string) netx.MAC {
+	t.Helper()
+	m, err := netx.ParseMAC(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func testEnv(t *testing.T, lab string, vpn bool, seed int64) *Env {
 	t.Helper()
 	in := cloud.New()
@@ -34,8 +44,8 @@ func testEnv(t *testing.T, lab string, vpn bool, seed int64) *Env {
 		DeviceIP:   netip.MustParseAddr("192.168.10.15"),
 		GatewayIP:  netip.MustParseAddr("192.168.10.1"),
 		DNSAddr:    netip.MustParseAddr("192.168.10.1"),
-		DeviceMAC:  netx.MustParseMAC("74:da:38:00:00:01"),
-		GatewayMAC: netx.MustParseMAC("02:00:00:00:00:01"),
+		DeviceMAC:  mustMAC(t, "74:da:38:00:00:01"),
+		GatewayMAC: mustMAC(t, "02:00:00:00:00:01"),
 		Lab:        lab,
 		VPN:        vpn,
 		Rng:        rand.New(rand.NewSource(seed)),

@@ -51,9 +51,10 @@ type Config struct {
 	// (reshape.ParseStack — "pad,shape,dummy,vpn"); empty, "none" or
 	// "clean" runs the campaign undefended, byte-identical to campaigns
 	// from before the defense engine existed. The runner itself never
-	// reads these fields — defenses apply at delivery time via
-	// reshape.Wrap — but they live here so one Config describes a whole
-	// campaign for the CLI, the daemon and the fleet alike.
+	// reads these fields — the analysis pipeline applies the defense as
+	// its prep step (analysis.Pipeline.Defense) — but they live here so
+	// one Config describes a whole campaign for the CLI, the daemon and
+	// the fleet alike.
 	Reshape string
 	// ReshapeSeed seeds the defense engine; 0 reuses Seed. For a fixed
 	// (Reshape, ReshapeSeed, ReshapeBudget) triple the defended campaign
@@ -400,20 +401,6 @@ func (r *Runner) RunIdle(visit Visitor) Stats {
 			visit(exp)
 		})
 	return stats
-}
-
-// RunAll runs controlled then idle, returning combined stats.
-func (r *Runner) RunAll(visit Visitor) Stats {
-	a := r.RunControlled(visit)
-	b := r.RunIdle(visit)
-	return Stats{
-		Experiments: a.Experiments + b.Experiments,
-		Automated:   a.Automated + b.Automated,
-		Manual:      a.Manual + b.Manual,
-		Power:       a.Power + b.Power,
-		Packets:     a.Packets + b.Packets,
-		Bytes:       a.Bytes + b.Bytes,
-	}
 }
 
 // String renders stats compactly.

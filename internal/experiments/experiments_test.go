@@ -107,18 +107,6 @@ func TestRunIdleWindows(t *testing.T) {
 	}
 }
 
-func TestRunAllCombines(t *testing.T) {
-	r, _ := NewRunner(tinyConfig())
-	n := 0
-	stats := r.RunAll(func(*testbed.Experiment) { n++ })
-	if stats.Experiments != n {
-		t.Errorf("stats.Experiments = %d, visited %d", stats.Experiments, n)
-	}
-	if stats.String() == "" {
-		t.Error("empty stats string")
-	}
-}
-
 func TestPaperScaleExperimentCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale count check skipped in -short")

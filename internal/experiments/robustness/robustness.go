@@ -166,7 +166,8 @@ func runCell(cfg Config, stack []string, budget float64, seed int64) (*run, erro
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	p := analysis.NewPipeline(reshape.Wrap(runner, eng))
+	p := analysis.NewPipeline(runner)
+	p.Defense = eng
 	p.Workers = cfg.Workers
 	p.SetObs(reg)
 	p.Run(analysis.DefaultInferConfig())

@@ -30,15 +30,6 @@ func ParseMAC(s string) (MAC, error) {
 	return m, nil
 }
 
-// MustParseMAC is ParseMAC but panics on error; for constants in tables.
-func MustParseMAC(s string) MAC {
-	m, err := ParseMAC(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func unhex(c byte) (byte, bool) {
 	switch {
 	case '0' <= c && c <= '9':

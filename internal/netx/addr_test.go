@@ -55,11 +55,11 @@ func TestMACPredicates(t *testing.T) {
 	if !Broadcast.IsMulticast() {
 		t.Error("broadcast should have group bit set")
 	}
-	m := MustParseMAC("01:00:5e:00:00:fb")
+	m := mustMAC(t, "01:00:5e:00:00:fb")
 	if !m.IsMulticast() {
 		t.Error("multicast MAC not detected")
 	}
-	u := MustParseMAC("74:da:38:1b:20:01")
+	u := mustMAC(t, "74:da:38:1b:20:01")
 	if u.IsMulticast() || u.IsBroadcast() {
 		t.Error("unicast MAC misclassified")
 	}
@@ -69,17 +69,18 @@ func TestMACPredicates(t *testing.T) {
 }
 
 func TestMACOUI(t *testing.T) {
-	m := MustParseMAC("74:da:38:1b:20:01")
+	m := mustMAC(t, "74:da:38:1b:20:01")
 	if got := m.OUI(); got != 0x74da38 {
 		t.Fatalf("OUI() = %06x, want 74da38", got)
 	}
 }
 
-func TestMustParseMACPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParseMAC did not panic on invalid input")
-		}
-	}()
-	MustParseMAC("nope")
+// mustMAC parses a MAC literal, failing the test on error.
+func mustMAC(t testing.TB, s string) MAC {
+	t.Helper()
+	m, err := ParseMAC(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -7,13 +7,17 @@ import (
 	"time"
 )
 
-var testTime = time.Date(2019, 4, 1, 12, 0, 0, 0, time.UTC)
+var (
+	testTime = time.Date(2019, 4, 1, 12, 0, 0, 0, time.UTC)
+	hostMAC  = MAC{0x74, 0xda, 0x38, 0x1b, 0x20, 0x01}
+	gwMAC    = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
+)
 
 func tcpPacket(payload []byte) *Packet {
 	return &Packet{
 		Eth: Ethernet{
-			Src:       MustParseMAC("74:da:38:1b:20:01"),
-			Dst:       MustParseMAC("02:00:00:00:00:01"),
+			Src:       hostMAC,
+			Dst:       gwMAC,
 			EtherType: EtherTypeIPv4,
 		},
 		IPv4: &IPv4{
@@ -65,8 +69,8 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestUDPRoundTrip(t *testing.T) {
 	p := &Packet{
 		Eth: Ethernet{
-			Src:       MustParseMAC("74:da:38:1b:20:01"),
-			Dst:       MustParseMAC("02:00:00:00:00:01"),
+			Src:       hostMAC,
+			Dst:       gwMAC,
 			EtherType: EtherTypeIPv4,
 		},
 		IPv4: &IPv4{TTL: 64, Protocol: ProtoUDP,
@@ -115,13 +119,13 @@ func TestIPv6RoundTrip(t *testing.T) {
 func TestARPRoundTrip(t *testing.T) {
 	p := &Packet{
 		Eth: Ethernet{
-			Src:       MustParseMAC("74:da:38:1b:20:01"),
+			Src:       hostMAC,
 			Dst:       Broadcast,
 			EtherType: EtherTypeARP,
 		},
 		ARP: &ARP{
 			Op:        ARPRequest,
-			SenderMAC: MustParseMAC("74:da:38:1b:20:01"),
+			SenderMAC: hostMAC,
 			SenderIP:  MustParseAddr("192.168.10.15"),
 			TargetIP:  MustParseAddr("192.168.10.1"),
 		},

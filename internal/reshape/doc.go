@@ -6,7 +6,10 @@
 // and VPN/NAT tunnel aggregation — to every experiment a source
 // delivers, so the downstream destination, encryption, PII, and
 // activity-inference analyses measure the defended wire view instead of
-// the raw one.
+// the raw one. The engine applies to one experiment at a time
+// (Engine.Transform); the analysis pipeline runs it as the first half of
+// its prep step (analysis.Pipeline.Defense), on the fold workers of
+// every source and on the §7.3 uncontrolled leg.
 //
 // Each transform's strength is a single overhead budget in [0, 1]:
 // budget 0 is a bit-for-bit no-op, budget 1 pads toward the MTU, delays

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/neu-sns/intl-iot-go/internal/cloud"
 	"github.com/neu-sns/intl-iot-go/internal/devices"
-	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
@@ -365,45 +363,5 @@ func TestObsCounters(t *testing.T) {
 		if reg.Counter(name).Value() == 0 {
 			t.Errorf("%s is zero after a full-stack transform", name)
 		}
-	}
-}
-
-func TestWrapDisabledReturnsInner(t *testing.T) {
-	src := &fakeStream{}
-	if got := Wrap(src, nil); got != Stream(src) {
-		t.Fatal("Wrap(nil engine) did not return the inner source")
-	}
-}
-
-// fakeStream delivers one fresh test experiment per controlled run.
-type fakeStream struct{}
-
-func (f *fakeStream) Internet() *cloud.Internet { return nil }
-func (f *fakeStream) SetObs(*obs.Registry)      {}
-func (f *fakeStream) RunIdle(visit experiments.Visitor) experiments.Stats {
-	return experiments.Stats{}
-}
-func (f *fakeStream) RunControlled(visit experiments.Visitor) experiments.Stats {
-	exp := testExp()
-	st := experiments.Stats{Experiments: 1, Packets: int64(len(exp.Packets)), Bytes: int64(exp.Bytes())}
-	visit(exp)
-	return st
-}
-
-func TestSourceAdjustsStatsToWireView(t *testing.T) {
-	eng := mustEngine(t, []string{TransformPad, TransformDummy}, 21, 0.5)
-	src := Wrap(&fakeStream{}, eng)
-	var seenPkts, seenBytes int64
-	st := src.RunControlled(func(exp *testbed.Experiment) {
-		seenPkts = int64(len(exp.Packets))
-		seenBytes = int64(exp.Bytes())
-	})
-	if st.Packets != seenPkts || st.Bytes != seenBytes {
-		t.Fatalf("stats (%d pkts, %d bytes) disagree with delivered wire view (%d pkts, %d bytes)",
-			st.Packets, st.Bytes, seenPkts, seenBytes)
-	}
-	raw := testExp()
-	if st.Bytes <= int64(raw.Bytes()) {
-		t.Fatalf("defended byte count %d not above raw %d", st.Bytes, raw.Bytes())
 	}
 }

@@ -512,7 +512,8 @@ func (m *Manager) runStudy(ctx context.Context, job *Job) error {
 		if err != nil {
 			return err
 		}
-		study = intliot.NewStudyFromSource(reshape.Wrap(src, eng))
+		study = intliot.NewStudyFromSource(src)
+		study.SetDefense(eng)
 	} else {
 		scale := spec.Scale
 		if scale == "" {

@@ -97,8 +97,9 @@ type Study struct {
 }
 
 // NewStudy builds the two labs over a fresh simulated Internet. When
-// cfg names a traffic-reshaping defense stack (Reshape), the synthesis
-// runner is wrapped so every analysis measures the defended wire view.
+// cfg names a traffic-reshaping defense stack (Reshape), the study is
+// defended (SetDefense) so every analysis measures the defended wire
+// view.
 func NewStudy(cfg Config) (*Study, error) {
 	r, err := experiments.NewRunner(cfg)
 	if err != nil {
@@ -108,7 +109,9 @@ func NewStudy(cfg Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewStudyFromSource(reshape.Wrap(r, eng)), nil
+	s := NewStudyFromSource(r)
+	s.SetDefense(eng)
+	return s, nil
 }
 
 // NewReshapeEngine builds the traffic-reshaping defense engine a Config
@@ -155,6 +158,13 @@ func (s *Study) SetInferenceConfig(cfg analysis.InferConfig) { s.inferCfg = cfg 
 // folds on one worker and trains serially. Every report table and
 // detection is byte-identical for any value; call before Run.
 func (s *Study) SetAnalysisWorkers(n int) { s.pipeline.Workers = n }
+
+// SetDefense applies a traffic-reshaping defense engine to every
+// experiment before any analysis sees it, on the controlled, idle and
+// uncontrolled legs alike, so the study measures the defended wire view.
+// A nil (disabled) engine leaves the study undefended. Call before
+// SetObs and Run.
+func (s *Study) SetDefense(eng *reshape.Engine) { s.pipeline.Defense = eng }
 
 // SetContext attaches a cancellation context to the analysis pipeline.
 // Once cancelled, the running campaign stops visiting experiments and

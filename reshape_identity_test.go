@@ -6,7 +6,6 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/analysis"
 	"github.com/neu-sns/intl-iot-go/internal/ingest"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
-	"github.com/neu-sns/intl-iot-go/internal/reshape"
 )
 
 // The reproducibility contract of the reshape engine, end to end through
@@ -107,7 +106,8 @@ func TestReshapeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewStudyFromSource(reshape.Wrap(src, eng))
+		s := NewStudyFromSource(src)
+		s.SetDefense(eng)
 		s.SetInferenceConfig(inferCfg)
 		s.Run()
 		return renderAll(s)
